@@ -189,7 +189,11 @@ class IterationLevelScheduler(BaseScheduler):
                     self.kv_manager.reload(request_id)
                     self.stats.reloads += 1
                     request = self._requests[request_id]
-                    if request in self.running and request not in generation_requests:
+                    # A reload can leave no free page for a request whose
+                    # tokens sit on a page boundary: it stays resident and
+                    # retries its growth next iteration.
+                    if (request in self.running and request not in generation_requests
+                            and self.kv_manager.can_grow(request_id, 1)):
                         self.kv_manager.grow(request_id, 1)
                         generation_requests.append(request)
             memory_events.extend(self.kv_manager.drain_events())

@@ -26,6 +26,9 @@ MIXED = [(24, 12, 0.0), (40, 6, 0.0), (16, 16, 0.001), (32, 10, 0.0015), (48, 8,
          (20, 14, 0.006)]
 #: Three long requests at t=0 that overflow a 160-token KV cache.
 EVICTING = [(64, 64, 0.0)] * 3
+#: Six requests at t=0 whose reloads land on full KV page boundaries.
+RELOAD_BOUNDARY = [(40, 60, 0.0), (47, 65, 0.0), (54, 70, 0.0), (61, 75, 0.0), (45, 63, 0.0),
+                   (52, 68, 0.0)]
 
 GPT2_KV_TOKEN_BYTES = get_model("gpt2").kv_bytes_per_token()
 
@@ -45,6 +48,9 @@ CASES = {
                                     sub_batch=True), MIXED),
     "gpt2-evict-reload": (dict(model_name="gpt2", npu_num=1, npu_mem_gb=4.0,
                                kv_capacity_bytes=160 * GPT2_KV_TOKEN_BYTES), EVICTING),
+    "gpt2-tensor2-reload-boundary": (dict(model_name="gpt2", npu_num=2, npu_mem_gb=4.0,
+                                          parallel="tensor", kv_capacity_bytes=14_155_776),
+                                     RELOAD_BOUNDARY),
     "gpt3-7b-tensor4-block": (dict(model_name="gpt3-7b", npu_num=4, parallel="tensor",
                                    graph_granularity="block"), MIXED),
     "gpt2-static": (dict(model_name="gpt2", npu_num=1, npu_mem_gb=4.0,
@@ -58,6 +64,7 @@ GOLDEN = {
     "gpt2-pim-pool": "5bb187e8ff5e8adf688e5493a97e28a30709763e8df2911cf04dd2a92360cd92",
     "gpt2-pim-pool-subbatch": "a00cd485e820e7c4ad82342f7a4d3a44781548b177b25e04c1b3ddcb93094c94",
     "gpt2-static": "451480ec8644a05fc0478afef1274e172021a0c62b986ba65761d7f11ea4a125",
+    "gpt2-tensor2-reload-boundary": "b0c0e93be84f18164b397627db4ec363549149dc91dd05075854c941d6345730",
     "gpt3-7b-hybrid2x2": "8618293b49ac050a002161f598247b0d27ac85c67f2afa97f722d2e32a87d82b",
     "gpt3-7b-pipeline4": "0a355858dca3a2807f2af7ad7403927261616858a682879655536c2b289c9366",
     "gpt3-7b-tensor4": "9cb998298a02084dae897dee42f6ccba28f34ab9341291cbd0ae3efacd8aec70",

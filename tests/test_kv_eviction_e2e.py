@@ -77,3 +77,16 @@ class TestEvictReloadEndToEnd:
         result = sim.run([Request(0, 64, 4, arrival_time=0.0)])
         assert result.finished_requests == []
         assert sim.has_work  # the request is still pending, but we returned
+
+    def test_reload_onto_a_full_page_boundary_retries_instead_of_raising(self):
+        # A reload can leave no free page for a request whose tokens sit on a
+        # page boundary; growing it anyway raised MemoryError out of run().
+        # The request must stay resident and grow on a later iteration.
+        config = ServingSimConfig(model_name="gpt2", npu_num=1, npu_mem_gb=4.0,
+                                  kv_capacity_bytes=2_949_120)
+        requests = [Request(0, 30, 31), Request(1, 13, 32), Request(2, 13, 37)]
+        result = LLMServingSim(config).run(requests)
+        assert len(result.finished_requests) == 3
+        assert [r.generated_tokens for r in requests] == [31, 32, 37]
+        assert sum(r.evictions for r in result.iterations) == 2
+        assert sum(r.reloads for r in result.iterations) == 2
