@@ -6,7 +6,7 @@ model operator graphs, request workloads, the Orca-style iteration-level
 scheduler with vLLM paged KV caching, a pluggable execution-engine stack
 (NPU systolic-array, PIM and GPU cost models), the Chakra-style graph
 converter with tensor/pipeline/hybrid parallelism, and an ASTRA-sim-style
-discrete-event system simulator — plus the baselines and benchmark harnesses
+system simulator — plus the baselines and benchmark harnesses
 needed to regenerate every table and figure of the paper's evaluation.
 
 Quickstart::

@@ -11,8 +11,8 @@ workflow of Figure 4:
 3. The **graph converter** replicates the block trace across the model's
    blocks, places work onto devices according to the parallelism strategy
    and inserts collectives, pipeline transfers and KV-migration operators.
-4. The **system simulator** (ASTRA-sim substitute) plays the execution graph
-   forward and reports the iteration latency.
+4. The **system simulator** (ASTRA-sim substitute) replays the execution graph
+   and reports the iteration latency.
 5. The latency feeds back into the scheduler clock and the loop repeats
    until every request finishes.
 """
@@ -254,7 +254,6 @@ class LLMServingSim:
             if entry is not None:
                 self.simtime.account_cached_iteration(plan.num_requests)
                 self.result.iteration_cache_hits += 1
-                self.last_system_result = None
                 self.last_engine_report = replace(entry.engine_report,
                                                   served_from_iteration_cache=True)
                 return entry.latency
@@ -292,7 +291,6 @@ class LLMServingSim:
 
         self.simtime.account_iteration(stack_result.report, self.converter.stats,
                                        plan.num_requests)
-        self.last_system_result = system_result
         self.last_engine_report = stack_result.report
         if signature is not None:
             self.iteration_cache.store(signature, IterationCacheEntry(

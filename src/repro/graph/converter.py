@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from ..engine.trace import TraceEntry
 from ..models.architectures import ModelConfig
 from ..scheduler.kv_cache import KVMemoryEvent, KVMemoryEventType
 from ..system.topology import DeviceType, PIMMode, SystemTopology
 from .collectives import CollectiveSizing
-from .execgraph import ExecutionGraph
+from .execgraph import ExecutionGraph, GraphNodeType
 from .parallelism import ParallelismPlan
 
 __all__ = ["GraphGranularity", "GraphConverter", "ConversionStats"]
@@ -133,10 +133,6 @@ class GraphConverter:
                 return entry.operator.m
         return fallback
 
-    def _attention_device(self, request_index: int, group: Sequence[int]) -> int:
-        """Round-robin assignment of per-request attention to group devices."""
-        return group[request_index % len(group)]
-
     # -- main conversion -----------------------------------------------------
 
     def convert(self,
@@ -161,161 +157,143 @@ class GraphConverter:
             KV-cache migrations decided by the scheduler for this iteration.
         total_new_tokens:
             Total tokens processed this iteration (payload fallback).
+
+        Nodes are appended straight to the graph's per-node lists; every
+        dependency names a node appended earlier.
         """
-        self.stats = ConversionStats()
         graph = ExecutionGraph()
         sizing = CollectiveSizing(model)
         tp = self.plan.tensor_parallel
         groups = self.topology.compute_groups
-        pim_mode = self.topology.pim_mode
-        pim_pool = self.topology.pim_pool
 
         if self.granularity is GraphGranularity.BLOCK:
             sub_batch_block_traces = [self._coarsen(entries) for entries in sub_batch_block_traces]
 
         # KV-cache migrations execute on the first device of the first group;
         # reloads gate the iteration's compute, evictions merely occupy the link.
-        memory_node_ids: List[int] = []
-        reload_node_ids: List[int] = []
+        reload_ids: Tuple[int, ...] = ()
         for index, event in enumerate(memory_events):
-            node = graph.add_memory(
-                name=f"kv_{event.event_type.value}.r{event.request_id}.{index}",
-                device=groups[0][0], comm_bytes=event.num_bytes,
-                direction="store" if event.event_type is KVMemoryEventType.EVICT else "load",
-                request_id=event.request_id)
-            memory_node_ids.append(node.node_id)
-            if event.event_type is KVMemoryEventType.RELOAD:
-                reload_node_ids.append(node.node_id)
-            self.stats.memory_nodes += 1
+            reload = event.event_type is KVMemoryEventType.RELOAD
+            if reload:
+                reload_ids += (len(graph),)
+            _append(graph, GraphNodeType.MEMORY, (groups[0][0],), 0.0, event.num_bytes, (),
+                    f"kv_{event.event_type.value}.r{event.request_id}.{index}",
+                    {"request_id": event.request_id, "direction": "load" if reload else "store"})
 
         # Embedding on the first stage (sharded across its devices).
-        embed_ids: List[int] = []
+        embed_start = len(graph)
         for entry in embedding_trace:
-            for device in groups[0]:
-                node = graph.add_compute(
-                    name=f"{entry.operator.name}.d{device}", device=device,
-                    duration=entry.latency / tp, deps=reload_node_ids,
-                    phase=entry.operator.phase.value)
-                embed_ids.append(node.node_id)
-                self.stats.compute_nodes += 1
+            _add_sharded(graph, entry, groups[0], [reload_ids] * tp,
+                         [f"{entry.operator.name}.d{device}" for device in groups[0]],
+                         {"phase": entry.operator.phase.value})
+        embed_ids = tuple(range(embed_start, len(graph)))
 
         # Per sub-batch chains through every block of every stage.
-        final_node_ids: List[int] = []
+        final_ids: List[int] = []
         for sub_batch_index, entries in enumerate(sub_batch_block_traces):
             if not entries:
                 continue
             tokens = self._sub_batch_tokens(entries, total_new_tokens)
-            # The dependency frontier of this sub-batch on each device.
-            last_on_device: Dict[int, List[int]] = {d: list(embed_ids) for d in groups[0]}
-            prev_stage_tail: List[int] = []
+            allreduce_bytes = sizing.allreduce_bytes(tokens)
+            # The dependency frontier of this sub-batch on each device of the
+            # current group, by position in the group.
+            frontier: List[Tuple[int, ...]] = [embed_ids] * tp
+            prev_stage_tail: Tuple[int, ...] = ()
 
             for stage_index, group in enumerate(groups):
                 block_start, block_end = self.plan.blocks_for_stage(stage_index)
                 if stage_index > 0:
                     # Pipeline hand-off from the previous stage.
-                    p2p = graph.add_p2p(
-                        name=f"sb{sub_batch_index}.stage{stage_index}.recv",
-                        src=groups[stage_index - 1][0], dst=group[0],
-                        comm_bytes=sizing.pipeline_transfer_bytes(tokens),
-                        deps=prev_stage_tail, sub_batch=sub_batch_index)
-                    self.stats.p2p_nodes += 1
-                    last_on_device = {d: [p2p.node_id] for d in group}
+                    frontier = [(len(graph),)] * tp
+                    _append(graph, GraphNodeType.P2P, (groups[stage_index - 1][0], group[0]),
+                            0.0, sizing.pipeline_transfer_bytes(tokens), prev_stage_tail,
+                            f"sb{sub_batch_index}.stage{stage_index}.recv",
+                            {"sub_batch": sub_batch_index})
 
+                layout = _StageLayout(entries, group, self.topology)
                 for block in range(block_start, block_end):
-                    last_on_device = self._convert_block(
-                        graph, entries, model, sizing, tokens, sub_batch_index, block,
-                        group, tp, pim_mode, pim_pool, last_on_device)
+                    frontier = self._convert_block(
+                        graph, layout, model, allreduce_bytes, sub_batch_index, block,
+                        frontier)
 
-                prev_stage_tail = sorted({nid for ids in last_on_device.values() for nid in ids})
+                prev_stage_tail = _union(frontier)
 
-            final_node_ids.extend(prev_stage_tail)
+            final_ids.extend(prev_stage_tail)
 
         # LM head on the last stage, after every sub-batch finished.
-        last_group = groups[-1]
+        final_deps = [tuple(final_ids)] * tp
         for entry in head_trace:
-            for device in last_group:
-                node = graph.add_compute(
-                    name=f"{entry.operator.name}.d{device}", device=device,
-                    duration=entry.latency / tp, deps=final_node_ids,
-                    phase=entry.operator.phase.value)
-                self.stats.compute_nodes += 1
+            _add_sharded(graph, entry, groups[-1], final_deps,
+                         [f"{entry.operator.name}.d{device}" for device in groups[-1]],
+                         {"phase": entry.operator.phase.value})
 
+        types = graph.types
+        collectives = types.count(GraphNodeType.COLLECTIVE)
+        self.stats = ConversionStats(
+            compute_nodes=types.count(GraphNodeType.COMPUTE),
+            collective_nodes=collectives,
+            collective_participants=collectives * tp,
+            p2p_nodes=types.count(GraphNodeType.P2P),
+            memory_nodes=types.count(GraphNodeType.MEMORY))
         return graph
 
     # -- per-block conversion --------------------------------------------------
 
-    def _convert_block(self, graph: ExecutionGraph, entries: Sequence[TraceEntry],
-                       model: ModelConfig, sizing: CollectiveSizing, tokens: int,
-                       sub_batch_index: int, block: int, group: Sequence[int], tp: int,
-                       pim_mode: PIMMode, pim_pool: Sequence[int],
-                       last_on_device: Dict[int, List[int]]) -> Dict[int, List[int]]:
+    def _convert_block(self, graph: ExecutionGraph, layout: "_StageLayout",
+                       model: ModelConfig, allreduce_bytes: float, sub_batch_index: int,
+                       block: int, frontier: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
         """Lay out one transformer block of one sub-batch onto a device group."""
+        group = layout.group
+        tp = len(group)
+        pim_mode = self.topology.pim_mode
+        pim_pool = self.topology.pim_pool
         pending_attention: List[int] = []
         attention_index = 0
         allreduce_count = 0
         prefix = f"sb{sub_batch_index}.b{block}"
+        block_meta = {"sub_batch": sub_batch_index, "block": block}
+        pool_meta = {"pool_transfer": True, "sub_batch": sub_batch_index}
 
-        def add_allreduce(deps: List[int], label: str) -> int:
-            node = graph.add_collective(
-                name=f"{prefix}.allreduce{label}", devices=list(group),
-                comm_bytes=sizing.allreduce_bytes(tokens), deps=deps,
-                sub_batch=sub_batch_index, block=block)
-            self.stats.collective_nodes += 1
-            self.stats.collective_participants += len(group)
-            return node.node_id
+        def add_allreduce(deps: Tuple[int, ...], label: int) -> List[Tuple[int, ...]]:
+            ar = _append(graph, GraphNodeType.COLLECTIVE, layout.group_tuple, 0.0,
+                         allreduce_bytes, deps, f"{prefix}.allreduce{label}", block_meta)
+            return [(ar,)] * tp
 
-        for entry in entries:
+        for entry, suffixes in zip(layout.entries, layout.suffixes):
             op = entry.operator
             if op.is_attention:
-                npu_device = self._attention_device(attention_index, group)
+                position = attention_index % tp
+                npu_device = group[position]
+                deps = frontier[position]
+                name = prefix + suffixes
                 if entry.engine is DeviceType.PIM and pim_mode is PIMMode.LOCAL:
-                    target = self.topology.pim_partner(npu_device) or npu_device
-                    deps = last_on_device[npu_device]
-                    node = graph.add_compute(
-                        name=f"{prefix}.{op.name}", device=target, duration=entry.latency,
-                        deps=deps, sub_batch=sub_batch_index, block=block)
-                    self.stats.compute_nodes += 1
-                    pending_attention.append(node.node_id)
+                    pending_attention.append(_append(
+                        graph, GraphNodeType.COMPUTE, layout.pim_targets[position],
+                        entry.latency, 0.0, deps, name, block_meta))
                 elif entry.engine is DeviceType.PIM and pim_mode is PIMMode.POOL and pim_pool:
                     pim_device = pim_pool[attention_index % len(pim_pool)]
                     send_bytes = max(1.0, float(op.m * model.hidden_size * model.dtype_bytes))
-                    send = graph.add_p2p(
-                        name=f"{prefix}.{op.name}.send", src=npu_device, dst=pim_device,
-                        comm_bytes=send_bytes, deps=last_on_device[npu_device],
-                        pool_transfer=True, sub_batch=sub_batch_index)
-                    compute = graph.add_compute(
-                        name=f"{prefix}.{op.name}", device=pim_device, duration=entry.latency,
-                        deps=[send.node_id], sub_batch=sub_batch_index, block=block)
-                    recv = graph.add_p2p(
-                        name=f"{prefix}.{op.name}.recv", src=pim_device, dst=npu_device,
-                        comm_bytes=max(1.0, op.output_bytes), deps=[compute.node_id],
-                        pool_transfer=True, sub_batch=sub_batch_index)
-                    self.stats.p2p_nodes += 2
-                    self.stats.compute_nodes += 1
-                    pending_attention.append(recv.node_id)
+                    send = _append(graph, GraphNodeType.P2P, (npu_device, pim_device), 0.0,
+                                   send_bytes, deps, name + ".send", pool_meta)
+                    compute = _append(graph, GraphNodeType.COMPUTE, (pim_device,),
+                                      entry.latency, 0.0, (send,), name, block_meta)
+                    pending_attention.append(_append(
+                        graph, GraphNodeType.P2P, (pim_device, npu_device), 0.0,
+                        max(1.0, op.output_bytes), (compute,), name + ".recv", pool_meta))
                 else:
-                    deps = last_on_device[npu_device]
-                    node = graph.add_compute(
-                        name=f"{prefix}.{op.name}", device=npu_device, duration=entry.latency,
-                        deps=deps, sub_batch=sub_batch_index, block=block)
-                    self.stats.compute_nodes += 1
-                    pending_attention.append(node.node_id)
+                    pending_attention.append(_append(
+                        graph, GraphNodeType.COMPUTE, (npu_device,), entry.latency, 0.0, deps,
+                        name, block_meta))
                 attention_index += 1
                 continue
 
             # Batched (non-attention) operator: sharded across the group.
-            new_ids: List[int] = []
-            for device in group:
-                deps = list(last_on_device[device])
-                if pending_attention:
-                    deps.extend(pending_attention)
-                node = graph.add_compute(
-                    name=f"{prefix}.{op.name}.d{device}", device=device,
-                    duration=entry.latency / tp, deps=deps,
-                    sub_batch=sub_batch_index, block=block)
-                self.stats.compute_nodes += 1
-                new_ids.append(node.node_id)
-                last_on_device[device] = [node.node_id]
+            if pending_attention:
+                attention = tuple(pending_attention)
+                frontier = [deps + attention for deps in frontier]
+            first = _add_sharded(graph, entry, group, frontier,
+                                 [prefix + suffix for suffix in suffixes], block_meta)
+            frontier = [(node_id,) for node_id in range(first, first + tp)]
 
             if pending_attention:
                 # This is the first batched operator after the attention
@@ -324,13 +302,67 @@ class GraphConverter:
                 pending_attention = []
                 if tp > 1:
                     allreduce_count += 1
-                    ar = add_allreduce(new_ids, str(allreduce_count))
-                    last_on_device = {d: [ar] for d in group}
+                    frontier = add_allreduce(tuple(range(first, first + tp)), allreduce_count)
 
         # End-of-block all-reduce after the FFN down projection.
         if tp > 1:
-            tail = sorted({nid for ids in last_on_device.values() for nid in ids})
             allreduce_count += 1
-            ar = add_allreduce(tail, str(allreduce_count))
-            last_on_device = {d: [ar] for d in group}
-        return last_on_device
+            frontier = add_allreduce(_union(frontier), allreduce_count)
+        return frontier
+
+
+class _StageLayout:
+    """What every block of one sub-batch on one device group shares.
+
+    Built once per stage: node-name suffixes per trace entry (``".{name}"``
+    for attention, one ``".{name}.d{device}"`` per group device for batched
+    operators) and the device each group position's PIM-mapped attention
+    runs on.
+    """
+
+    def __init__(self, entries: Sequence[TraceEntry], group: Sequence[int],
+                 topology: SystemTopology) -> None:
+        self.entries = entries
+        self.group = group
+        self.group_tuple = tuple(group)
+        self.pim_targets = [(topology.pim_partner(device) or device,) for device in group]
+        self.suffixes = [
+            f".{entry.operator.name}" if entry.operator.is_attention
+            else [f".{entry.operator.name}.d{device}" for device in group]
+            for entry in entries]
+
+
+def _append(graph: ExecutionGraph, node_type: GraphNodeType, occupied: Tuple[int, ...],
+            duration: float, payload: float, deps: Tuple[int, ...], name: str,
+            metadata: Dict[str, object]) -> int:
+    """Append one node to ``graph``'s lists and return its id."""
+    node_id = len(graph.types)
+    graph.types.append(node_type)
+    graph.occupied.append(occupied)
+    graph.durations.append(duration)
+    graph.payloads.append(payload)
+    graph.deps.append(deps)
+    graph.names.append(name)
+    graph.metadata.append(metadata)
+    return node_id
+
+
+def _add_sharded(graph: ExecutionGraph, entry: TraceEntry, group: Sequence[int],
+                 deps: List[Tuple[int, ...]], names: List[str],
+                 metadata: Dict[str, object]) -> int:
+    """Append one node per group device for a batched operator; return the first id."""
+    tp = len(group)
+    first = len(graph.types)
+    graph.types.extend([GraphNodeType.COMPUTE] * tp)
+    graph.occupied.extend([(device,) for device in group])
+    graph.durations.extend([entry.latency / tp] * tp)
+    graph.payloads.extend([0.0] * tp)
+    graph.deps.extend(deps)
+    graph.names.extend(names)
+    graph.metadata.extend([metadata] * tp)
+    return first
+
+
+def _union(frontier: List[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """Sorted distinct node ids of a dependency frontier."""
+    return tuple(sorted({node_id for deps in frontier for node_id in deps}))

@@ -4,20 +4,25 @@ The graph converter lowers hardware-simulation traces into an execution
 graph whose nodes are compute intervals, collective communications,
 point-to-point transfers and host<->device memory movements, each placed on
 a specific device of the system topology.  The system simulator
-(:mod:`repro.system.simulator`) walks this graph with a discrete-event
-engine to produce the iteration's end-to-end latency.
+(:mod:`repro.system.simulator`) replays this graph to produce the
+iteration's end-to-end latency.
 
 The representation intentionally mirrors Chakra execution traces: nodes have
 explicit data dependencies and a device placement, and communication nodes
 carry byte counts rather than durations (the network model assigns their
 timing during system simulation).
+
+Nodes are stored as parallel per-node lists indexed by node id, so building
+and replaying a graph allocates no object per node.  A dependency may only
+point at an earlier node, which makes every graph acyclic by construction
+and node-id order a topological order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = ["GraphNodeType", "GraphNode", "ExecutionGraph"]
 
@@ -33,7 +38,7 @@ class GraphNodeType(enum.Enum):
 
 @dataclass
 class GraphNode:
-    """One node of the execution graph.
+    """A snapshot view of one node, built on demand by :class:`ExecutionGraph`.
 
     Attributes
     ----------
@@ -74,44 +79,58 @@ class GraphNode:
     deps: Set[int] = field(default_factory=set)
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError("duration must be non-negative")
-        if self.comm_bytes < 0:
-            raise ValueError("comm_bytes must be non-negative")
-        self.deps = set(self.deps)
-        self.comm_group = tuple(self.comm_group)
-
 
 class ExecutionGraph:
-    """A DAG of :class:`GraphNode` objects with device placement.
+    """A DAG of device-placed nodes stored as parallel per-node lists.
 
-    The graph owns node-id allocation; use :meth:`add_compute`,
-    :meth:`add_collective`, :meth:`add_p2p` and :meth:`add_memory` to build
-    it incrementally.
+    Node ``i`` is described by ``types[i]``, ``occupied[i]`` (the devices it
+    occupies while it runs: one for compute and memory nodes, the group for
+    a collective, source and destination for a P2P transfer),
+    ``durations[i]`` (compute time; zero for communication), ``payloads[i]``
+    (communication bytes; zero for compute), ``deps[i]``, ``names[i]`` and
+    ``metadata[i]``.  Metadata mappings may be shared between nodes and are
+    read-only.
+
+    Build graphs with :meth:`add_compute`, :meth:`add_collective`,
+    :meth:`add_p2p` and :meth:`add_memory`; each rejects a dependency on a
+    node that does not exist yet.  The graph converter appends to the lists
+    directly under the same rule.
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[int, GraphNode] = {}
-        self._next_id = 0
+        self.types: List[GraphNodeType] = []
+        self.occupied: List[Tuple[int, ...]] = []
+        self.durations: List[float] = []
+        self.payloads: List[float] = []
+        self.deps: List[Tuple[int, ...]] = []
+        self.names: List[str] = []
+        self.metadata: List[Mapping[str, object]] = []
 
     # -- construction -------------------------------------------------------
 
-    def _allocate(self, node: GraphNode) -> GraphNode:
-        self._nodes[node.node_id] = node
-        return node
-
-    def _new_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
+    def _add(self, node_type: GraphNodeType, occupied: Tuple[int, ...], duration: float,
+             payload: float, deps: Iterable[int], name: str,
+             metadata: Mapping[str, object]) -> GraphNode:
+        if duration < 0:
+            raise ValueError("duration must be non-negative")
+        if payload < 0:
+            raise ValueError("comm_bytes must be non-negative")
+        node_id = len(self.types)
+        deps = tuple(deps)
+        _check_deps(node_id, deps)
+        self.types.append(node_type)
+        self.occupied.append(occupied)
+        self.durations.append(duration)
+        self.payloads.append(payload)
+        self.deps.append(deps)
+        self.names.append(name)
+        self.metadata.append(metadata)
+        return self.node(node_id)
 
     def add_compute(self, name: str, device: int, duration: float,
                     deps: Iterable[int] = (), **metadata: object) -> GraphNode:
         """Add a fixed-duration compute node."""
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.COMPUTE,
-            device=device, duration=duration, deps=set(deps), metadata=dict(metadata)))
+        return self._add(GraphNodeType.COMPUTE, (device,), duration, 0.0, deps, name, metadata)
 
     def add_collective(self, name: str, devices: Sequence[int], comm_bytes: float,
                        deps: Iterable[int] = (), **metadata: object) -> GraphNode:
@@ -119,18 +138,13 @@ class ExecutionGraph:
         devices = tuple(devices)
         if not devices:
             raise ValueError("a collective needs at least one participating device")
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.COLLECTIVE,
-            device=devices[0], comm_bytes=comm_bytes, comm_group=devices,
-            deps=set(deps), metadata=dict(metadata)))
+        return self._add(GraphNodeType.COLLECTIVE, devices, 0.0, comm_bytes, deps, name,
+                         metadata)
 
     def add_p2p(self, name: str, src: int, dst: int, comm_bytes: float,
                 deps: Iterable[int] = (), **metadata: object) -> GraphNode:
         """Add a point-to-point transfer from ``src`` to ``dst``."""
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.P2P,
-            device=src, peer_device=dst, comm_bytes=comm_bytes,
-            deps=set(deps), metadata=dict(metadata)))
+        return self._add(GraphNodeType.P2P, (src, dst), 0.0, comm_bytes, deps, name, metadata)
 
     def add_memory(self, name: str, device: int, comm_bytes: float, direction: str,
                    deps: Iterable[int] = (), **metadata: object) -> GraphNode:
@@ -141,94 +155,58 @@ class ExecutionGraph:
         """
         if direction not in ("store", "load"):
             raise ValueError("direction must be 'store' or 'load'")
-        meta = dict(metadata)
-        meta["direction"] = direction
-        return self._allocate(GraphNode(
-            node_id=self._new_id(), name=name, node_type=GraphNodeType.MEMORY,
-            device=device, comm_bytes=comm_bytes, deps=set(deps), metadata=meta))
+        metadata["direction"] = direction
+        return self._add(GraphNodeType.MEMORY, (device,), 0.0, comm_bytes, deps, name,
+                         metadata)
 
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.types)
 
-    def __iter__(self):
-        return iter(self._nodes.values())
+    def __iter__(self) -> Iterator[GraphNode]:
+        return (self.node(node_id) for node_id in range(len(self.types)))
 
     def node(self, node_id: int) -> GraphNode:
-        return self._nodes[node_id]
+        """A :class:`GraphNode` snapshot of one node."""
+        node_type = self.types[node_id]
+        occupied = self.occupied[node_id]
+        return GraphNode(
+            node_id=node_id, name=self.names[node_id], node_type=node_type,
+            device=occupied[0], duration=self.durations[node_id],
+            comm_bytes=self.payloads[node_id],
+            comm_group=occupied if node_type is GraphNodeType.COLLECTIVE else (),
+            peer_device=occupied[1] if node_type is GraphNodeType.P2P else None,
+            deps=set(self.deps[node_id]), metadata=dict(self.metadata[node_id]))
 
     @property
     def nodes(self) -> List[GraphNode]:
-        return list(self._nodes.values())
-
-    def nodes_on_device(self, device: int) -> List[GraphNode]:
-        return [n for n in self._nodes.values() if n.device == device]
+        """Snapshots of every node, in node-id (topological) order."""
+        return list(self)
 
     def devices(self) -> Set[int]:
         """All devices referenced by the graph."""
         devices: Set[int] = set()
-        for node in self._nodes.values():
-            devices.add(node.device)
-            devices.update(node.comm_group)
-            if node.peer_device is not None:
-                devices.add(node.peer_device)
+        for occupied in self.occupied:
+            devices.update(occupied)
         return devices
 
     def validate(self) -> None:
-        """Check referential integrity and acyclicity.
+        """Check that every dependency points at an earlier node.
 
         Raises
         ------
         ValueError
-            If a dependency points at a missing node or the graph has a cycle.
+            If a dependency points at a missing or later node.
         """
-        for node in self._nodes.values():
-            for dep in node.deps:
-                if dep not in self._nodes:
-                    raise ValueError(f"node {node.node_id} depends on missing node {dep}")
-        self.topological_order()  # raises on cycles
-
-    def topological_order(self) -> List[GraphNode]:
-        """Nodes in dependency order (Kahn's algorithm).
-
-        Raises
-        ------
-        ValueError
-            If the graph contains a cycle.
-        """
-        in_degree = {nid: len(n.deps) for nid, n in self._nodes.items()}
-        dependents: Dict[int, List[int]] = {nid: [] for nid in self._nodes}
-        for node in self._nodes.values():
-            for dep in node.deps:
-                if dep in dependents:
-                    dependents[dep].append(node.node_id)
-
-        ready = sorted(nid for nid, deg in in_degree.items() if deg == 0)
-        order: List[GraphNode] = []
-        queue = list(ready)
-        while queue:
-            nid = queue.pop(0)
-            order.append(self._nodes[nid])
-            for child in dependents[nid]:
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    queue.append(child)
-        if len(order) != len(self._nodes):
-            raise ValueError("execution graph contains a cycle")
-        return order
+        for node_id, deps in enumerate(self.deps):
+            _check_deps(node_id, deps)
 
     @property
     def total_compute_time(self) -> float:
         """Sum of all compute-node durations (serial execution upper bound)."""
-        return sum(n.duration for n in self._nodes.values()
-                   if n.node_type is GraphNodeType.COMPUTE)
-
-    @property
-    def total_comm_bytes(self) -> float:
-        """Sum of all communication payloads."""
-        return sum(n.comm_bytes for n in self._nodes.values()
-                   if n.node_type is not GraphNodeType.COMPUTE)
+        return sum(duration for node_type, duration in zip(self.types, self.durations)
+                   if node_type is GraphNodeType.COMPUTE)
 
     def critical_path_compute_time(self) -> float:
         """Longest chain of compute durations ignoring communication costs.
@@ -236,8 +214,14 @@ class ExecutionGraph:
         A cheap lower bound on iteration latency, used by tests and by the
         operator scheduler's heuristics.
         """
-        finish: Dict[int, float] = {}
-        for node in self.topological_order():
-            start = max((finish[d] for d in node.deps), default=0.0)
-            finish[node.node_id] = start + node.duration
-        return max(finish.values(), default=0.0)
+        finish: List[float] = []
+        for deps, duration in zip(self.deps, self.durations):
+            start = max((finish[d] for d in deps), default=0.0)
+            finish.append(start + duration)
+        return max(finish, default=0.0)
+
+
+def _check_deps(node_id: int, deps: Tuple[int, ...]) -> None:
+    for dep in deps:
+        if not 0 <= dep < node_id:
+            raise ValueError(f"node {node_id} depends on node {dep}, which does not exist yet")

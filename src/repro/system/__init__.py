@@ -1,13 +1,11 @@
-"""System substrate: discrete-event engine, topology, network and system simulator."""
+"""System substrate: topology, network model and the system simulator."""
 
-from .events import Event, EventQueue
 from .network import (HIGH_BANDWIDTH_INTERCONNECT, NVLINK_LIKE, PCIE_GEN4_X16,
                       LinkSpec, NetworkConfig, NetworkModel)
 from .simulator import NodeTiming, SystemSimulationResult, SystemSimulator
 from .topology import Device, DeviceType, PIMMode, SystemTopology, build_topology
 
 __all__ = [
-    "Event", "EventQueue",
     "HIGH_BANDWIDTH_INTERCONNECT", "NVLINK_LIKE", "PCIE_GEN4_X16",
     "LinkSpec", "NetworkConfig", "NetworkModel",
     "NodeTiming", "SystemSimulationResult", "SystemSimulator",

@@ -1,11 +1,27 @@
-"""System-level discrete-event simulator (the ASTRA-sim substitute).
+"""System-level simulator (the ASTRA-sim substitute).
 
 Takes the execution graph produced by the graph converter, the system
-topology and the network model, and plays the graph forward with a
-discrete-event engine: every device executes its nodes in dependency order,
-one at a time; collectives occupy every participating device; point-to-point
-and host transfers occupy the endpoints for the duration computed by the
-network model.
+topology and the network model, and replays the graph in simulated time:
+every device executes one node at a time, a node starts once all its
+dependencies finished, collectives occupy every participating device, and
+point-to-point and host transfers occupy their endpoints for the duration
+computed by the network model.
+
+The replay is one loop over the graph's per-node lists with a heap of
+``(end, sequence, node)`` entries.  Its dispatch rules decide which waiting
+node gets a device first, so every simulated time depends on them:
+
+* a finishing node first releases its dependents, in ascending node id,
+  while its own devices are still marked busy; only then does it free its
+  devices, one at a time, in the node's device order;
+* a freed device first serves the waiting multi-device nodes (collectives
+  and P2P transfers) that include it, in the order they started waiting,
+  then the FIFO queue of ready single-device nodes on it;
+* a waiting multi-device node counts its busy devices when it starts
+  waiting and loses one count per release of any of its devices; at zero it
+  recounts and starts only if none is busy;
+* finishes at equal simulated times are processed in the order the nodes
+  started, and each end time is ``start + duration``.
 
 The output is the iteration's end-to-end latency (makespan) plus per-device
 utilization and a communication/computation breakdown — the statistics the
@@ -15,12 +31,13 @@ iteration.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..graph.execgraph import ExecutionGraph, GraphNode, GraphNodeType
-from .events import EventQueue
+from ..graph.execgraph import ExecutionGraph, GraphNodeType
 from .network import NetworkModel
 from .topology import SystemTopology
 
@@ -43,14 +60,18 @@ class NodeTiming:
         return self.end - self.start
 
 
-@dataclass
 class SystemSimulationResult:
     """Outcome of simulating one execution graph.
+
+    The replay records only each node's start and end and the order nodes
+    finished in; everything else is derived from those on first access.
 
     Attributes
     ----------
     makespan:
         End-to-end latency of the graph in seconds.
+    num_events:
+        Number of node completions processed (one per node).
     compute_time:
         Total device-seconds spent in compute nodes.
     comm_time:
@@ -61,17 +82,69 @@ class SystemSimulationResult:
         Busy seconds per device id.
     node_timings:
         Per-node start/end times in completion order.
-    num_events:
-        Number of discrete events processed.
     """
 
-    makespan: float = 0.0
-    compute_time: float = 0.0
-    comm_time: float = 0.0
-    memory_time: float = 0.0
-    device_busy_time: Dict[int, float] = field(default_factory=dict)
-    node_timings: List[NodeTiming] = field(default_factory=list)
-    num_events: int = 0
+    def __init__(self, graph: Optional[ExecutionGraph] = None, start_time: float = 0.0,
+                 order: Sequence[int] = (), starts: Sequence[float] = (),
+                 ends: Sequence[float] = (), makespan: float = 0.0) -> None:
+        self.makespan = makespan
+        self.num_events = len(order)
+        self._graph = graph
+        self._start_time = start_time
+        self._order = order
+        self._starts = starts
+        self._ends = ends
+
+    @cached_property
+    def _totals(self) -> Tuple[float, float, float, Dict[int, float]]:
+        # Accumulated in completion order, the order the times were summed
+        # in while the simulation ran.
+        compute = comm = memory = 0.0
+        busy: Dict[int, float] = {}
+        if self._graph is None:
+            return compute, comm, memory, busy
+        types, occupied = self._graph.types, self._graph.occupied
+        for node_id in self._order:
+            duration = self._ends[node_id] - self._starts[node_id]
+            devices = occupied[node_id]
+            for device in devices:
+                busy[device] = busy.get(device, 0.0) + duration
+            node_type = types[node_id]
+            if node_type is GraphNodeType.COMPUTE:
+                compute += duration
+            elif node_type is GraphNodeType.MEMORY:
+                memory += duration
+            else:
+                comm += duration * len(devices)
+        return compute, comm, memory, busy
+
+    @property
+    def compute_time(self) -> float:
+        return self._totals[0]
+
+    @property
+    def comm_time(self) -> float:
+        return self._totals[1]
+
+    @property
+    def memory_time(self) -> float:
+        return self._totals[2]
+
+    @property
+    def device_busy_time(self) -> Dict[int, float]:
+        return self._totals[3]
+
+    @property
+    def node_timings(self) -> List[NodeTiming]:
+        graph, offset = self._graph, self._start_time
+        if graph is None:
+            return []
+        return [NodeTiming(node_id=node_id, name=graph.names[node_id],
+                           node_type=graph.types[node_id],
+                           start=offset + self._starts[node_id],
+                           end=offset + self._ends[node_id],
+                           devices=graph.occupied[node_id])
+                for node_id in self._order]
 
     def utilization(self, device_id: int) -> float:
         """Fraction of the makespan a device spent busy."""
@@ -88,7 +161,7 @@ class SystemSimulationResult:
 
 
 class SystemSimulator:
-    """Discrete-event execution of an :class:`ExecutionGraph`.
+    """Replays an :class:`ExecutionGraph` on the system's devices.
 
     Parameters
     ----------
@@ -110,142 +183,132 @@ class SystemSimulator:
         ``start_time`` offsets all reported times (the serving scheduler
         passes its current clock so node timings are absolute).
         """
-        graph.validate()
-        result = SystemSimulationResult()
-        if len(graph) == 0:
-            return result
+        num_nodes = len(graph)
+        if num_nodes == 0:
+            return SystemSimulationResult()
+        occupied = graph.occupied
+        durations = self._durations(graph)
+        remaining = [len(deps) for deps in graph.deps]
+        dependents: List[List[int]] = [[] for _ in range(num_nodes)]
+        for node_id, deps in enumerate(graph.deps):
+            for dep in deps:
+                dependents[dep].append(node_id)
 
-        queue = EventQueue()
-        remaining_deps: Dict[int, int] = {}
-        dependents: Dict[int, List[int]] = {}
-        for node in graph:
-            remaining_deps[node.node_id] = len(node.deps)
-            for dep in node.deps:
-                dependents.setdefault(dep, []).append(node.node_id)
+        busy: Dict[int, bool] = dict.fromkeys(
+            [device for devices in sorted(set(occupied)) for device in devices], False)
+        # Ready single-device nodes queued behind their busy device.
+        ready: Dict[int, Deque[int]] = {device: deque() for device in busy}
+        # Ready multi-device nodes waiting for endpoints: node id -> count of
+        # its busy devices, and per device the nodes waiting on it.
+        waiting: Dict[int, int] = {}
+        waiters: Dict[int, List[int]] = {device: [] for device in busy}
 
-        device_busy: Dict[int, bool] = {}
-        # FIFO of ready single-device nodes per busy device.  A deque keeps
-        # the pop-from-the-front O(1); with a plain list the per-device
-        # queues of a large graph (every node of a pipeline stage lands on
-        # one device) turn the simulation O(n^2).
-        ready_per_device: Dict[int, Deque[int]] = {}
-        # Ready multi-device nodes (collectives, P2P) waiting for endpoints:
-        # node id -> number of its devices currently busy.  A reverse index
-        # maps each device to the waiting nodes that include it, so finishing
-        # a node only touches the waiters of the devices it releases.
-        waiting_multi_busy: Dict[int, int] = {}
-        multi_waiters_by_device: Dict[int, List[int]] = {}
-        finished: Set[int] = set()
+        starts = [0.0] * num_nodes
+        ends = [0.0] * num_nodes
+        order: List[int] = []
+        heap: List[Tuple[float, int, int]] = []
+        push, pop = heapq.heappush, heapq.heappop
+        sequence = 0
+        now = 0.0
 
-        def devices_of(node: GraphNode) -> Tuple[int, ...]:
-            if node.node_type is GraphNodeType.COLLECTIVE:
-                return tuple(node.comm_group)
-            if node.node_type is GraphNodeType.P2P and node.peer_device is not None:
-                return (node.device, node.peer_device)
-            return (node.device,)
-
-        def node_duration(node: GraphNode) -> float:
-            if node.node_type is GraphNodeType.COMPUTE:
-                return node.duration
-            if node.node_type is GraphNodeType.COLLECTIVE:
-                return self.network.allreduce_time(node.comm_bytes, len(node.comm_group))
-            if node.node_type is GraphNodeType.P2P:
-                if node.metadata.get("pool_transfer"):
-                    return self.network.pool_transfer_time(node.comm_bytes)
-                return self.network.p2p_time(node.comm_bytes)
-            if node.node_type is GraphNodeType.MEMORY:
-                return self.network.host_transfer_time(node.comm_bytes)
-            raise ValueError(f"unknown node type {node.node_type}")
-
-        def start_node(node: GraphNode, devices: Tuple[int, ...]) -> None:
-            duration = node_duration(node)
-            start = queue.now
-            for d in devices:
-                device_busy[d] = True
-            queue.schedule_after(duration, lambda n=node, s=start, devs=devices: finish(n, s, devs),
-                                 label=node.name)
-
-        def make_ready(node_id: int) -> None:
-            node = graph.node(node_id)
-            devices = devices_of(node)
-            if len(devices) > 1:
-                busy_count = sum(1 for d in devices if device_busy.get(d, False))
-                if busy_count == 0:
-                    start_node(node, devices)
-                else:
-                    waiting_multi_busy[node_id] = busy_count
-                    for d in devices:
-                        multi_waiters_by_device.setdefault(d, []).append(node_id)
-            else:
-                device = devices[0]
-                if device_busy.get(device, False):
-                    ready_per_device.setdefault(device, deque()).append(node_id)
-                else:
-                    start_node(node, devices)
-
-        def release_device(device: int) -> None:
-            """Hand a freed device to the next waiter (multi-device first)."""
-            device_busy[device] = False
-            # Multi-device waiters that include this device lose one busy count.
-            waiters = multi_waiters_by_device.get(device)
-            if waiters:
-                still_waiting: List[int] = []
-                for node_id in waiters:
-                    if node_id not in waiting_multi_busy:
+        # Nodes with no dependencies become ready at time zero, in id order;
+        # then each finish makes its dependents ready.  ``released`` holds
+        # the nodes a step makes ready, ``freed`` the devices it frees.
+        released: Sequence[int] = [node_id for node_id in range(num_nodes)
+                                   if not remaining[node_id]]
+        freed: Tuple[int, ...] = ()
+        while True:
+            for node_id in released:
+                devices = occupied[node_id]
+                if len(devices) == 1:
+                    device = devices[0]
+                    if busy[device]:
+                        ready[device].append(node_id)
                         continue
-                    waiting_multi_busy[node_id] -= 1
-                    if waiting_multi_busy[node_id] <= 0:
-                        node = graph.node(node_id)
-                        devices = devices_of(node)
-                        # All endpoints reported free; start unless a race
-                        # re-occupied one (then it re-enters waiting).
-                        busy_count = sum(1 for d in devices if device_busy.get(d, False))
-                        if busy_count == 0:
-                            del waiting_multi_busy[node_id]
-                            start_node(node, devices)
+                    busy[device] = True
+                else:
+                    busy_count = sum(busy[device] for device in devices)
+                    if busy_count:
+                        waiting[node_id] = busy_count
+                        for device in devices:
+                            waiters[device].append(node_id)
+                        continue
+                    for device in devices:
+                        busy[device] = True
+                starts[node_id] = now
+                push(heap, (now + durations[node_id], sequence, node_id))
+                sequence += 1
+
+            for device in freed:
+                busy[device] = False
+                device_waiters = waiters[device]
+                if device_waiters:
+                    still_waiting: List[int] = []
+                    for node_id in device_waiters:
+                        if node_id not in waiting:
                             continue
-                        waiting_multi_busy[node_id] = busy_count
-                    still_waiting.append(node_id)
-                multi_waiters_by_device[device] = [n for n in still_waiting
-                                                   if n in waiting_multi_busy]
-            # Single-device queue of this device.
-            if not device_busy.get(device, False):
-                ready = ready_per_device.get(device)
-                if ready:
-                    node_id = ready.popleft()
-                    node = graph.node(node_id)
-                    start_node(node, devices_of(node))
+                        busy_count = waiting[node_id] - 1
+                        if busy_count <= 0:
+                            # Every endpoint reported free; start unless one
+                            # was taken again since (then keep waiting).
+                            devices = occupied[node_id]
+                            busy_count = sum(busy[d] for d in devices)
+                            if not busy_count:
+                                del waiting[node_id]
+                                for d in devices:
+                                    busy[d] = True
+                                starts[node_id] = now
+                                push(heap, (now + durations[node_id], sequence, node_id))
+                                sequence += 1
+                                continue
+                        waiting[node_id] = busy_count
+                        still_waiting.append(node_id)
+                    waiters[device] = [node_id for node_id in still_waiting
+                                       if node_id in waiting]
+                if not busy[device]:
+                    queue = ready[device]
+                    if queue:
+                        node_id = queue.popleft()
+                        busy[device] = True
+                        starts[node_id] = now
+                        push(heap, (now + durations[node_id], sequence, node_id))
+                        sequence += 1
 
-        def finish(node: GraphNode, start: float, devices: Tuple[int, ...]) -> None:
-            end = queue.now
-            duration = end - start
-            for d in devices:
-                result.device_busy_time[d] = result.device_busy_time.get(d, 0.0) + duration
-            if node.node_type is GraphNodeType.COMPUTE:
-                result.compute_time += duration
-            elif node.node_type is GraphNodeType.MEMORY:
-                result.memory_time += duration
-            else:
-                result.comm_time += duration * len(devices)
-            result.node_timings.append(NodeTiming(
-                node_id=node.node_id, name=node.name, node_type=node.node_type,
-                start=start_time + start, end=start_time + end, devices=devices))
-            finished.add(node.node_id)
-            for child in dependents.get(node.node_id, ()):  # release dependents
-                remaining_deps[child] -= 1
-                if remaining_deps[child] == 0:
-                    make_ready(child)
-            for d in devices:
-                release_device(d)
+            if not heap:
+                break
+            now, _, node_id = pop(heap)
+            ends[node_id] = now
+            order.append(node_id)
+            released = []
+            for child in dependents[node_id]:
+                remaining[child] -= 1
+                if not remaining[child]:
+                    released.append(child)
+            freed = occupied[node_id]
 
-        # Seed: every node with no dependencies is ready at time zero.
-        for node in graph:
-            if remaining_deps[node.node_id] == 0:
-                make_ready(node.node_id)
-
-        result.num_events = queue.run()
-        if len(finished) != len(graph):
-            missing = len(graph) - len(finished)
+        if len(order) != num_nodes:
+            missing = num_nodes - len(order)
             raise RuntimeError(f"system simulation deadlocked with {missing} unfinished nodes")
-        result.makespan = queue.now
-        return result
+        return SystemSimulationResult(graph, start_time, order, starts, ends, makespan=now)
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _durations(self, graph: ExecutionGraph) -> List[float]:
+        """Every node's duration: compute time, or the network model's transfer time."""
+        durations = list(graph.durations)
+        network = self.network
+        payloads, occupied, metadata = graph.payloads, graph.occupied, graph.metadata
+        for node_id, node_type in enumerate(graph.types):
+            if node_type is GraphNodeType.COMPUTE:
+                continue
+            payload = payloads[node_id]
+            if node_type is GraphNodeType.COLLECTIVE:
+                durations[node_id] = network.allreduce_time(payload, len(occupied[node_id]))
+            elif node_type is GraphNodeType.P2P:
+                if metadata[node_id].get("pool_transfer"):
+                    durations[node_id] = network.pool_transfer_time(payload)
+                else:
+                    durations[node_id] = network.p2p_time(payload)
+            else:
+                durations[node_id] = network.host_transfer_time(payload)
+        return durations

@@ -28,25 +28,35 @@ def block_trace_for(batch, pim=False):
 class TestExecutionGraph:
     def test_dependency_validation(self):
         graph = ExecutionGraph()
-        node = graph.add_compute("a", device=1, duration=1.0, deps=[42])
-        with pytest.raises(ValueError, match="missing node"):
-            graph.validate()
+        with pytest.raises(ValueError, match="does not exist yet"):
+            graph.add_compute("a", device=1, duration=1.0, deps=[42])
+        assert len(graph) == 0
 
     def test_cycle_detection(self):
+        # A cycle needs a dependency on a node added later (or on itself);
+        # every add_* rejects both, so graphs are acyclic by construction.
         graph = ExecutionGraph()
         a = graph.add_compute("a", device=1, duration=1.0)
-        b = graph.add_compute("b", device=1, duration=1.0, deps=[a.node_id])
-        a.deps.add(b.node_id)
-        with pytest.raises(ValueError, match="cycle"):
-            graph.topological_order()
+        with pytest.raises(ValueError, match="does not exist yet"):
+            graph.add_compute("b", device=1, duration=1.0, deps=[a.node_id + 1])
+        with pytest.raises(ValueError, match="does not exist yet"):
+            graph.add_collective("ar", devices=[1, 2], comm_bytes=1.0, deps=[a.node_id, 5])
+        with pytest.raises(ValueError, match="does not exist yet"):
+            graph.add_p2p("p", src=1, dst=2, comm_bytes=1.0, deps=[-1])
+        with pytest.raises(ValueError, match="does not exist yet"):
+            graph.add_memory("m", device=1, comm_bytes=1.0, direction="load", deps=[1])
+        assert len(graph) == 1
+        graph.validate()
 
     def test_topological_order_respects_deps(self):
+        # Node-id order is a topological order.
         graph = ExecutionGraph()
         a = graph.add_compute("a", device=1, duration=1.0)
         b = graph.add_compute("b", device=2, duration=1.0, deps=[a.node_id])
         c = graph.add_compute("c", device=1, duration=1.0, deps=[b.node_id])
-        order = [n.node_id for n in graph.topological_order()]
-        assert order.index(a.node_id) < order.index(b.node_id) < order.index(c.node_id)
+        order = [n.node_id for n in graph.nodes]
+        assert order == [a.node_id, b.node_id, c.node_id]
+        assert all(dep < node.node_id for node in graph.nodes for dep in node.deps)
 
     def test_devices_include_peers_and_groups(self):
         graph = ExecutionGraph()

@@ -1,10 +1,15 @@
-"""Unit tests for the system substrate: events, topology, network and the DES."""
+"""Unit tests for the system substrate: topology, network and the replay.
+
+``TestEventQueue`` covers the event queue of the test-only reference
+simulator (``des_reference.py``) that the replay is checked against.
+"""
 
 import pytest
+from des_reference import EventQueue
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import ExecutionGraph
-from repro.system import (DeviceType, EventQueue, NetworkConfig, NetworkModel, PCIE_GEN4_X16,
+from repro.system import (DeviceType, NetworkConfig, NetworkModel, PCIE_GEN4_X16,
                           LinkSpec, PIMMode, SystemSimulator, build_topology)
 
 
