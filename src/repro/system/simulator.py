@@ -84,7 +84,7 @@ class SystemSimulationResult:
         Per-node start/end times in completion order.
     """
 
-    def __init__(self, graph: Optional[ExecutionGraph] = None, start_time: float = 0.0,
+    def __init__(self, graph: ExecutionGraph, start_time: float = 0.0,
                  order: Sequence[int] = (), starts: Sequence[float] = (),
                  ends: Sequence[float] = (), makespan: float = 0.0) -> None:
         self.makespan = makespan
@@ -97,12 +97,9 @@ class SystemSimulationResult:
 
     @cached_property
     def _totals(self) -> Tuple[float, float, float, Dict[int, float]]:
-        # Accumulated in completion order, the order the times were summed
-        # in while the simulation ran.
+        # Summed in completion order: float sums depend on the order.
         compute = comm = memory = 0.0
         busy: Dict[int, float] = {}
-        if self._graph is None:
-            return compute, comm, memory, busy
         types, occupied = self._graph.types, self._graph.occupied
         for node_id in self._order:
             duration = self._ends[node_id] - self._starts[node_id]
@@ -137,8 +134,6 @@ class SystemSimulationResult:
     @property
     def node_timings(self) -> List[NodeTiming]:
         graph, offset = self._graph, self._start_time
-        if graph is None:
-            return []
         return [NodeTiming(node_id=node_id, name=graph.names[node_id],
                            node_type=graph.types[node_id],
                            start=offset + self._starts[node_id],
@@ -185,7 +180,7 @@ class SystemSimulator:
         """
         num_nodes = len(graph)
         if num_nodes == 0:
-            return SystemSimulationResult()
+            return SystemSimulationResult(graph, start_time)
         occupied = graph.occupied
         durations = self._durations(graph)
         remaining = [len(deps) for deps in graph.deps]
