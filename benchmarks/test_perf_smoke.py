@@ -1,16 +1,12 @@
 """Perf-smoke benchmark: the tracked cluster-simulation speedup matrix.
 
-Runs the ``repro bench`` scenario matrix in quick mode and checks the three
+Runs the ``repro bench`` scenario matrix in quick mode and checks the two
 speedup levers the perf trajectory tracks:
 
 * the ``process-pool`` execution backend must be **bit-identical** to the
   ``serial`` reference on every comparison scenario (the wall-clock win is
   additionally asserted on hosts with enough cores — a 1-core CI container
   cannot express a fan-out speedup, only its overhead);
-* the event-driven cluster engine must be bit-identical to the lockstep
-  reference — on every comparison scenario via the ``serial-lockstep`` arm,
-  and on the dedicated ``event-driven-4`` engine study (where the wall-clock
-  win is again core-count gated);
 * iteration-level memoization must reach the paper-motivated reuse regime
   on the steady-state decode scenario (>= 50 % iteration-cache hit rate)
   while remaining bit-identical to the non-memoized run, and the shared
@@ -25,9 +21,8 @@ import os
 
 import pytest
 
-from repro.bench import (BENCH_SCENARIOS, ENGINE_SPEEDUP_SCENARIO,
-                         MIN_CORES_FOR_SPEEDUP_CHECK, SPEEDUP_SCENARIO,
-                         check_engine_speedup, check_speedup, run_bench,
+from repro.bench import (BENCH_SCENARIOS, MIN_CORES_FOR_SPEEDUP_CHECK,
+                         SPEEDUP_SCENARIO, check_speedup, run_bench,
                          run_scenario, write_report)
 
 from conftest import run_once
@@ -47,7 +42,7 @@ class TestBenchMatrix:
     def test_matrix_covers_required_scenarios(self):
         names = {s.name for s in BENCH_SCENARIOS}
         assert {"homogeneous-4", "heterogeneous-4", "autoscaled-4",
-                "event-driven-4", "steady-decode-reuse"} <= names
+                "steady-decode-reuse"} <= names
 
     def test_backends_bit_identical_on_every_comparison_scenario(self, quick_report):
         compared = [e for e in quick_report["scenarios"] if "backends" in e]
@@ -55,9 +50,7 @@ class TestBenchMatrix:
         for entry in compared:
             assert entry["bit_identical"], (
                 f"{entry['name']}: process-pool diverged from serial")
-            # The arm set pins the event-driven engine against lockstep on
-            # every comparison scenario, not just the engine study.
-            assert "serial-lockstep" in entry["backends"]
+            assert set(entry["backends"]) == {"serial", "process-pool"}
             fingerprints = {stats["fingerprint"]
                             for stats in entry["backends"].values()}
             assert len(fingerprints) == 1
@@ -89,19 +82,6 @@ class TestBenchMatrix:
             f"process-pool hit rate {pooled:.1%} drifted from serial "
             f"{serial:.1%}")
 
-    def test_engine_study_is_bit_identical(self, quick_report):
-        entry = next(e for e in quick_report["scenarios"]
-                     if e["name"] == ENGINE_SPEEDUP_SCENARIO)
-        assert set(entry["engines"]) == {"lockstep", "event-driven"}
-        assert entry["bit_identical"], (
-            "event-driven engine diverged from lockstep")
-        fingerprints = {stats["fingerprint"]
-                        for stats in entry["engines"].values()}
-        assert len(fingerprints) == 1
-        for stats in entry["engines"].values():
-            assert stats["finished_requests"] == entry["num_requests"]
-        assert entry["engine_speedup"] > 0
-
     @pytest.mark.skipif((os.cpu_count() or 1) < MIN_CORES_FOR_SPEEDUP_CHECK,
                         reason="fan-out speedup needs a multi-core host")
     def test_process_pool_wins_on_multicore_hosts(self, quick_report):
@@ -123,19 +103,6 @@ class TestBenchMatrix:
             assert ok and "skipped" in message
         ok, message = check_speedup(quick_report, threshold=0.0,
                                     scenario_name="no-such-scenario")
-        if quick_report["host"]["cpu_count"] >= MIN_CORES_FOR_SPEEDUP_CHECK:
-            assert not ok
-
-    def test_check_engine_speedup_gate_semantics(self, quick_report):
-        ok, message = check_engine_speedup(quick_report, threshold=0.0)
-        assert ok, message
-        ok, message = check_engine_speedup(quick_report, threshold=1e9)
-        if quick_report["host"]["cpu_count"] >= MIN_CORES_FOR_SPEEDUP_CHECK:
-            assert not ok and "below" in message
-        else:
-            assert ok and "skipped" in message
-        ok, message = check_engine_speedup(quick_report, threshold=0.0,
-                                           scenario_name="no-such-scenario")
         if quick_report["host"]["cpu_count"] >= MIN_CORES_FOR_SPEEDUP_CHECK:
             assert not ok
 

@@ -8,8 +8,7 @@ iteration, the three conservation laws the engine is built on:
 1. **Event-time monotonicity.**  A replica's iterations tile its timeline:
    each starts no earlier than the previous one ended, ends exactly
    ``latency`` after it starts, and never moves backwards.  The cluster
-   engines (lockstep and event-driven) both rely on this to interleave
-   replicas on one clock.
+   event loop relies on this to interleave replicas on one clock.
 2. **KV-token conservation.**  Every running request whose prompt has been
    processed holds exactly ``input_tokens + generated_tokens`` KV slots,
    through admission, growth, eviction, reload and truncation; the manager's
@@ -151,7 +150,7 @@ class ReplicaInvariantChecker:
         delta = lookups - self._last_cache_lookups
         self._last_cache_lookups = lookups
         cache = self.simulator.iteration_cache
-        if cache is not None and cache.enabled:
+        if cache is not None:
             if delta != 1:
                 self._fail(
                     f"iteration {record.index} advanced the cache hit+miss "

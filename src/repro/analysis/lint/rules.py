@@ -1,9 +1,8 @@
 """The REP rule catalog: simulator-specific determinism & concurrency rules.
 
 Each rule encodes one way the repository's determinism contract (bit-identical
-results across ``serial``/``process-pool`` backends and ``lockstep``/
-``event-driven`` engines) or its lock discipline has been — or could be —
-silently broken:
+results across ``serial``/``process-pool`` backends, iteration reuse on and
+off) or its lock discipline has been — or could be — silently broken:
 
 ========  =======================================================================
 REP001    Wall-clock read (``time.time``, ``datetime.now``, ``perf_counter``)
@@ -463,7 +462,7 @@ _LOCK_HELD_MARKERS = ("lock-held", "lock held", "caller holds", "caller must hol
 def _guarded_declaration(class_node: ast.ClassDef) -> Tuple[Set[str], str]:
     """The class's ``_LOCK_GUARDED`` attribute names and its lock attribute.
 
-    ``_LOCK_GUARDED = ("_entries", "_inflight")`` declares the guarded set;
+    ``_LOCK_GUARDED = ("_entries",)`` declares the guarded set;
     an optional ``_LOCK_NAME = "_cache_lock"`` overrides the default
     ``_lock`` attribute the guard blocks must hold.
     """

@@ -9,7 +9,7 @@ bit-identical simulated results, and emits a machine-readable
 ``BENCH_cluster.json`` report that CI archives per commit (the perf
 trajectory).
 
-Three speedup levers are tracked:
+Two speedup levers are tracked:
 
 * **parallel replica execution** — the ``process-pool`` backend against the
   ``serial`` reference on multi-replica scenarios (near-linear on hosts
@@ -19,14 +19,7 @@ Three speedup levers are tracked:
   steady-state decode workload, reporting the iteration-cache hit rate and
   the modeled simulation-time reduction, under the serial *and* the
   process-pool backend (the shared singleflight cache must keep the
-  process-pool hit rate at the serial backend's level);
-* **the event-driven cluster engine** — the ``event-driven-4`` scenario
-  runs an autoscaled, mostly-idle fleet under ``lockstep`` and
-  ``event-driven`` engines and reports their wall-clock ratio (CI gates on
-  it; the engines must be bit-identical).
-
-Every backend-comparison scenario also runs a ``serial-lockstep`` arm, so
-the report pins lockstep == event-driven fingerprints on the whole matrix.
+  process-pool hit rate at the serial backend's level).
 
 Scenario sizes are deliberately small (gpt2-class replicas, tens of
 requests) so the full matrix runs in minutes on a laptop; ``quick=True``
@@ -60,14 +53,10 @@ SAMPLE_TRACE = (Path(__file__).resolve().parents[2]
 
 __all__ = ["BenchScenario", "BENCH_SCENARIOS", "cluster_result_fingerprint",
            "run_scenario", "run_bench", "write_report", "check_speedup",
-           "check_engine_speedup", "SPEEDUP_SCENARIO", "ENGINE_SPEEDUP_SCENARIO",
-           "MIN_CORES_FOR_SPEEDUP_CHECK", "SAMPLE_TRACE"]
+           "SPEEDUP_SCENARIO", "MIN_CORES_FOR_SPEEDUP_CHECK", "SAMPLE_TRACE"]
 
 #: The scenario whose serial/process-pool ratio gates CI.
 SPEEDUP_SCENARIO = "homogeneous-4"
-
-#: The scenario whose lockstep/event-driven ratio gates CI.
-ENGINE_SPEEDUP_SCENARIO = "event-driven-4"
 
 #: Below this core count a 4-replica fan-out cannot be expected to win, so
 #: the CI speedup gate is skipped (with a note in the report).
@@ -101,11 +90,9 @@ class BenchScenario:
 
     ``make_config``/``make_workload`` take the effective request count, so
     quick mode only changes scale, never shape.  ``compare_backends``
-    scenarios run once per execution backend (plus a lockstep-engine serial
-    arm) and must be bit-identical; ``reuse_study`` scenarios run iteration
-    reuse off/on serially plus a reuse-on process-pool arm, and must
-    likewise be bit-identical; ``engine_study`` scenarios run the lockstep
-    and event-driven cluster engines against each other.
+    scenarios run once per execution backend and must be bit-identical;
+    ``reuse_study`` scenarios run iteration reuse off/on serially plus a
+    reuse-on process-pool arm, and must likewise be bit-identical.
     """
 
     name: str
@@ -116,7 +103,6 @@ class BenchScenario:
     make_workload: Callable[[int], Sequence[Request]]
     compare_backends: bool = True
     reuse_study: bool = False
-    engine_study: bool = False
 
     def requests_for(self, quick: bool) -> int:
         return self.quick_num_requests if quick else self.num_requests
@@ -160,25 +146,6 @@ def _autoscaled_workload(n: int):
 def _decode_config(n: int) -> ClusterConfig:
     return ClusterConfig(num_replicas=2, routing="round-robin",
                          replica=_gpt2_replica(enable_iteration_reuse=True))
-
-
-def _event_driven_config(n: int) -> ClusterConfig:
-    # A mostly-idle fleet is where the event-driven engine earns its keep:
-    # the autoscaler parks 3 of 4 replicas (low arrival rate against a high
-    # per-replica target), so lockstep broadcasts four pipe round-trips per
-    # arrival while event-driven touches only the stale replica.
-    return ClusterConfig(
-        num_replicas=4, routing="least-outstanding",
-        replica=_gpt2_replica(enable_iteration_reuse=True),
-        execution_backend="process-pool",
-        autoscale=AutoscaleConfig(min_replicas=1, max_replicas=4,
-                                  window_seconds=6.0, target_rate_per_replica=4.0,
-                                  warmup_seconds=0.5, cooldown_seconds=2.0))
-
-
-def _event_driven_workload(n: int):
-    return generate_trace("alpaca", n, arrival="poisson", rate_per_second=2.0,
-                          seed=13)
 
 
 def _trace_replay_config(n: int) -> ClusterConfig:
@@ -226,15 +193,6 @@ BENCH_SCENARIOS: Tuple[BenchScenario, ...] = (
                     "Azure-format sample trace at 2x rate",
         num_requests=48, quick_num_requests=16,
         make_config=_trace_replay_config, make_workload=_trace_replay_workload),
-    BenchScenario(
-        name="event-driven-4",
-        description="4 gpt2 replicas autoscaled down to 1 under light "
-                    "traffic, process-pool backend; lockstep vs "
-                    "event-driven cluster engine (the CI engine-gate "
-                    "scenario)",
-        num_requests=40, quick_num_requests=12,
-        make_config=_event_driven_config, make_workload=_event_driven_workload,
-        compare_backends=False, engine_study=True),
     BenchScenario(
         name="steady-decode-reuse",
         description="2 replicas serving identical steady-state decode "
@@ -290,10 +248,6 @@ def _with_backend(config: ClusterConfig, backend: str) -> ClusterConfig:
     return dataclasses.replace(config, execution_backend=backend)
 
 
-def _with_engine(config: ClusterConfig, engine: str) -> ClusterConfig:
-    return dataclasses.replace(config, engine=engine)
-
-
 def _with_iteration_reuse(config: ClusterConfig, enabled: bool) -> ClusterConfig:
     specs = [dataclasses.replace(
         spec, config=dataclasses.replace(spec.config, enable_iteration_reuse=enabled))
@@ -313,19 +267,12 @@ def run_scenario(scenario: BenchScenario, quick: bool = False) -> Dict:
     if scenario.compare_backends:
         backends: Dict[str, Dict] = {}
         fingerprints = []
-        # The serial-lockstep arm pins the event-driven engine (the default
-        # on the other arms) against the legacy lockstep loop on every
-        # scenario shape in the matrix; it does not enter the speedup ratio.
-        arms = [("serial", "serial", "event-driven"),
-                ("process-pool", "process-pool", "event-driven"),
-                ("serial-lockstep", "serial", "lockstep")]
-        for arm_name, backend, engine in arms:
-            config = _with_engine(
-                _with_backend(scenario.make_config(n), backend), engine)
+        for backend in _BACKENDS:
+            config = _with_backend(scenario.make_config(n), backend)
             result, wall = _timed_run(config, scenario.make_workload(n))
             fingerprint = cluster_result_fingerprint(result)
             fingerprints.append(fingerprint)
-            backends[arm_name] = {
+            backends[backend] = {
                 "wall_seconds": wall,
                 "fingerprint": fingerprint,
                 "finished_requests": len(result.finished_requests),
@@ -335,25 +282,6 @@ def run_scenario(scenario: BenchScenario, quick: bool = False) -> Dict:
         entry["bit_identical"] = len(set(fingerprints)) == 1
         entry["speedup"] = (backends["serial"]["wall_seconds"]
                             / backends["process-pool"]["wall_seconds"])
-
-    if scenario.engine_study:
-        engines: Dict[str, Dict] = {}
-        fingerprints = []
-        for engine in ("lockstep", "event-driven"):
-            config = _with_engine(scenario.make_config(n), engine)
-            result, wall = _timed_run(config, scenario.make_workload(n))
-            fingerprint = cluster_result_fingerprint(result)
-            fingerprints.append(fingerprint)
-            engines[engine] = {
-                "wall_seconds": wall,
-                "fingerprint": fingerprint,
-                "finished_requests": len(result.finished_requests),
-                "iterations": sum(len(r.iterations) for r in result.replica_results),
-            }
-        entry["engines"] = engines
-        entry["bit_identical"] = len(set(fingerprints)) == 1
-        entry["engine_speedup"] = (engines["lockstep"]["wall_seconds"]
-                                   / engines["event-driven"]["wall_seconds"])
 
     if scenario.reuse_study:
         arms: Dict[str, Dict] = {}
@@ -453,37 +381,4 @@ def check_speedup(report: Dict, threshold: float,
                                f"{speedup:.2f}x is below the {threshold:.2f}x floor")
             return True, (f"scenario {scenario_name!r}: process-pool speedup "
                           f"{speedup:.2f}x (floor {threshold:.2f}x)")
-    return False, f"scenario {scenario_name!r} not found in the report"
-
-
-def check_engine_speedup(report: Dict, threshold: float,
-                         scenario_name: str = ENGINE_SPEEDUP_SCENARIO,
-                         ) -> Tuple[bool, str]:
-    """CI gate: the event-driven engine must not regress below ``threshold``.
-
-    ``threshold`` is the minimum acceptable ``lockstep / event-driven``
-    wall-clock ratio on the engine-study scenario (0.9 tolerates noise; the
-    engine's win grows with fleet idleness, which tiny CI scenarios only
-    partially exhibit).  Like :func:`check_speedup`, hosts below
-    ``MIN_CORES_FOR_SPEEDUP_CHECK`` cores skip the check — the scenario
-    fans out over the process-pool backend.
-    """
-    cpu_count = report.get("host", {}).get("cpu_count", 1)
-    if cpu_count < MIN_CORES_FOR_SPEEDUP_CHECK:
-        return True, (f"engine speedup check skipped: host has {cpu_count} "
-                      f"core(s), needs {MIN_CORES_FOR_SPEEDUP_CHECK}")
-    for entry in report["scenarios"]:
-        if entry["name"] == scenario_name:
-            speedup = entry.get("engine_speedup")
-            if speedup is None:
-                return False, f"scenario {scenario_name!r} has no engine comparison"
-            if not entry.get("bit_identical", False):
-                return False, (f"scenario {scenario_name!r}: engines are not "
-                               f"bit-identical")
-            if speedup < threshold:
-                return False, (f"scenario {scenario_name!r}: event-driven engine "
-                               f"speedup {speedup:.2f}x is below the "
-                               f"{threshold:.2f}x floor")
-            return True, (f"scenario {scenario_name!r}: event-driven engine "
-                          f"speedup {speedup:.2f}x (floor {threshold:.2f}x)")
     return False, f"scenario {scenario_name!r} not found in the report"

@@ -266,20 +266,6 @@ def build_cluster_parser() -> argparse.ArgumentParser:
                         help="enable iteration-level memoization (replay "
                              "latencies of previously simulated iteration "
                              "signatures; shared per replica class)")
-    engine_group = parser.add_mutually_exclusive_group()
-    engine_group.add_argument("--event-driven", dest="engine",
-                              action="store_const", const="event-driven",
-                              help="drive the cluster with the event-driven "
-                                   "engine: arrivals and warm-ups pop off a "
-                                   "heap and only stale replicas advance "
-                                   "(the default)")
-    engine_group.add_argument("--lockstep", dest="engine",
-                              action="store_const", const="lockstep",
-                              help="drive the cluster with the legacy "
-                                   "lockstep loop that advances every "
-                                   "replica at every arrival (bit-identical "
-                                   "to --event-driven; reference baseline)")
-    parser.set_defaults(engine="event-driven")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist per-class iteration-reuse caches under "
                              "DIR and warm-start from them, so parameter "
@@ -359,7 +345,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
             sample=args.trace_sample, seed=args.seed)
 
     config = ClusterConfig(num_replicas=args.replicas, routing=args.routing,
-                           execution_backend=args.backend, engine=args.engine,
+                           execution_backend=args.backend,
                            cache_dir=args.cache_dir,
                            replica=base_config, replicas=specs or None,
                            autoscale=autoscale, trace_replay=trace_replay,
@@ -380,8 +366,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     print(f"model                 : {base_config.model_name}")
     print(f"cluster               : {config.num_replicas} replica(s) [{fleet}], "
           f"{result.routing} routing")
-    print(f"backend               : {config.execution_backend} "
-          f"({config.engine} engine)")
+    print(f"backend               : {config.execution_backend}")
     hits = sum(r.iteration_cache_hits for r in result.replica_results)
     misses = sum(r.iteration_cache_misses for r in result.replica_results)
     if hits + misses:
@@ -400,7 +385,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
 
 def build_bench_parser() -> argparse.ArgumentParser:
     """Argument parser of the ``bench`` subcommand."""
-    from .bench import BENCH_SCENARIOS, ENGINE_SPEEDUP_SCENARIO, SPEEDUP_SCENARIO
+    from .bench import BENCH_SCENARIOS, SPEEDUP_SCENARIO
     parser = argparse.ArgumentParser(
         prog="llmservingsim bench",
         description="Run the tracked cluster-simulation performance matrix "
@@ -419,31 +404,18 @@ def build_bench_parser() -> argparse.ArgumentParser:
                              f"reaches RATIO x serial wall-clock on the "
                              f"{SPEEDUP_SCENARIO!r} scenario (skipped on "
                              "hosts with too few cores)")
-    parser.add_argument("--fail-below-engine-speedup", type=float, default=None,
-                        metavar="RATIO",
-                        help="exit non-zero unless the event-driven engine "
-                             f"reaches RATIO x lockstep wall-clock on the "
-                             f"{ENGINE_SPEEDUP_SCENARIO!r} scenario (skipped "
-                             "on hosts with too few cores)")
     return parser
 
 
 def bench_main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``bench`` subcommand; returns a process exit code."""
-    from .bench import (ENGINE_SPEEDUP_SCENARIO, SPEEDUP_SCENARIO,
-                        check_engine_speedup, check_speedup, run_bench,
-                        write_report)
+    from .bench import SPEEDUP_SCENARIO, check_speedup, run_bench, write_report
     parser = build_bench_parser()
     args = parser.parse_args(argv)
     if (args.fail_below_speedup is not None and args.scenario
             and SPEEDUP_SCENARIO not in args.scenario):
         parser.error(f"--fail-below-speedup gates the {SPEEDUP_SCENARIO!r} "
                      f"scenario, which --scenario excluded from this run")
-    if (args.fail_below_engine_speedup is not None and args.scenario
-            and ENGINE_SPEEDUP_SCENARIO not in args.scenario):
-        parser.error(f"--fail-below-engine-speedup gates the "
-                     f"{ENGINE_SPEEDUP_SCENARIO!r} scenario, which "
-                     f"--scenario excluded from this run")
 
     report = run_bench(quick=args.quick, only=args.scenario or None)
     print(f"host                  : {report['host']['cpu_count']} core(s), "
@@ -456,12 +428,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {backend:<20}: {stats['wall_seconds']:.2f} s wall, "
                       f"{stats['iterations']} iterations")
             print(f"  speedup             : {entry['speedup']:.2f}x "
-                  f"(bit-identical: {entry['bit_identical']})")
-        if "engines" in entry:
-            for engine, stats in entry["engines"].items():
-                print(f"  {engine:<20}: {stats['wall_seconds']:.2f} s wall, "
-                      f"{stats['iterations']} iterations")
-            print(f"  engine speedup      : {entry['engine_speedup']:.2f}x "
                   f"(bit-identical: {entry['bit_identical']})")
         if "reuse" in entry:
             for arm, stats in entry["reuse"].items():
@@ -481,11 +447,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         return 1
     if args.fail_below_speedup is not None:
         ok, message = check_speedup(report, args.fail_below_speedup)
-        print(("OK: " if ok else "ERROR: ") + message)
-        if not ok:
-            return 1
-    if args.fail_below_engine_speedup is not None:
-        ok, message = check_engine_speedup(report, args.fail_below_engine_speedup)
         print(("OK: " if ok else "ERROR: ") + message)
         if not ok:
             return 1

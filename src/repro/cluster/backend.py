@@ -12,23 +12,23 @@ behind an :class:`ExecutionBackend`:
   index order.  This is the reference implementation.
 * :class:`ProcessPoolBackend` (``"process-pool"``) hosts each replica in a
   persistent worker process and drives it with **batched event windows**:
-  one ``("window", submits, advance_to, drain, cap)`` round-trip delivers
-  every submit routed to a replica since its last advance *and* the advance
+  one ``("window", submits, advance_to, cap)`` round-trip delivers every
+  submit routed to a replica since its last advance *and* the advance
   itself, instead of one pipe round-trip per tick.  Routed submits are
   deferred master-side — ``submit`` costs zero round-trips; the master
   patches its local :class:`ReplicaLoadSnapshot` (one more outstanding
   request, ``has_work`` true — exactly what ``scheduler.submit`` changes)
   and the requests piggyback on the replica's next window.  Replicas that
-  are idle or already caught up get no round-trip at all under the
-  event-driven engine, because the cluster loop only calls
-  :meth:`ExecutionBackend.advance` on stale replicas.
+  are idle or already caught up get no round-trip at all, because the
+  cluster loop only calls :meth:`ExecutionBackend.advance` on stale
+  replicas.
 
 Both backends produce **bit-identical** simulation results: the per-replica
 simulations are deterministic, a worker applies its window's submits in
 routing order before advancing (the same order the serial backend runs
 them), and the router sees the same load views at the same points of the
 arrival loop.  When iteration-level reuse is enabled the master's per-class
-:class:`~repro.engine.iteration_cache.SharedIterationCache` instances are
+:class:`~repro.engine.iteration_cache.IterationReuseCache` instances are
 served to the workers by an
 :class:`~repro.engine.iteration_cache.IterationCacheService` over dedicated
 cache pipes, with singleflight deduplication — so cross-replica cache hits
@@ -43,6 +43,7 @@ through :func:`register_backend`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass
@@ -92,22 +93,13 @@ def snapshot_replica(replica: "Replica") -> ReplicaLoadSnapshot:
     )
 
 
-def _drain_replica(replica: "Replica", max_iterations: Optional[int]) -> None:
-    """Step a replica until it runs dry or hits the iteration cap."""
-    while replica.has_work:
-        if max_iterations is not None and replica.iterations_run >= max_iterations:
-            break
-        if not replica.step():
-            break
-
-
 class ExecutionBackend:
     """How the cluster loop executes its independent replica simulations.
 
     A backend is bound to the master's replica list once per run and then
-    driven through the arrival loop: ``advance`` (event-driven engine, stale
-    replicas only) or ``advance_all`` (lockstep engine) between arrivals,
-    ``submit`` after routing, ``drain_all`` once every request is placed,
+    driven through the arrival loop: ``advance`` (stale replicas only)
+    between arrivals, ``submit`` after routing, ``drain_all`` once every
+    request is placed,
     ``collect_results`` for the per-replica outcomes, ``close`` for
     teardown.  Implementations must keep each master replica's load view
     current (the router reads it right after an advance), though ``submit``
@@ -125,10 +117,6 @@ class ExecutionBackend:
     def advance(self, indices: Sequence[int], time: float,
                 max_iterations: Optional[int] = None) -> None:
         """Advance the listed replicas until their clocks reach ``time``."""
-        raise NotImplementedError
-
-    def advance_all(self, time: float, max_iterations: Optional[int] = None) -> None:
-        """Advance every replica until its clock reaches ``time``."""
         raise NotImplementedError
 
     def submit(self, index: int, request: Request) -> None:
@@ -166,16 +154,12 @@ class SerialBackend(ExecutionBackend):
         for index in indices:
             self._replicas[index].advance_until(time, max_iterations)
 
-    def advance_all(self, time: float, max_iterations: Optional[int] = None) -> None:
-        for replica in self._replicas:
-            replica.advance_until(time, max_iterations)
-
     def submit(self, index: int, request: Request) -> None:
         self._replicas[index].submit(request)
 
     def drain_all(self, max_iterations: Optional[int] = None) -> None:
         for replica in self._replicas:
-            _drain_replica(replica, max_iterations)
+            replica.advance_until(math.inf, max_iterations)
 
     def collect_results(self) -> List[ServingResult]:
         return [replica.simulator.collect_result() for replica in self._replicas]
@@ -192,9 +176,9 @@ def _replica_worker_main(conn, cache_conn, config, replica_id: int,
     master re-raises the latter.
 
     The one substantive command is the batched event window
-    ``("window", submits, advance_to, drain, max_iterations)``: apply the
-    deferred submits in routing order, advance to ``advance_to`` (when not
-    ``None``), drain when asked, reply with the post-window snapshot.
+    ``("window", submits, advance_to, max_iterations)``: apply the deferred
+    submits in routing order, advance to ``advance_to`` (``math.inf``
+    drains), reply with the post-window snapshot.
 
     When ``cache_conn`` is set, the replica's iteration cache is a
     :class:`~repro.engine.iteration_cache.RemoteIterationCache` proxy of the
@@ -219,13 +203,10 @@ def _replica_worker_main(conn, cache_conn, config, replica_id: int,
             command = message[0]
             try:
                 if command == "window":
-                    _, submits, advance_to, drain, max_iterations = message
+                    _, submits, advance_to, max_iterations = message
                     for request in submits:
                         replica.submit(request)
-                    if advance_to is not None:
-                        replica.advance_until(advance_to, max_iterations)
-                    if drain:
-                        _drain_replica(replica, max_iterations)
+                    replica.advance_until(advance_to, max_iterations)
                     conn.send(("ok", snapshot_replica(replica)))
                 elif command == "collect":
                     conn.send(("ok", replica.simulator.collect_result()))
@@ -252,8 +233,7 @@ class ProcessPoolBackend(ExecutionBackend):
     ``scheduler.submit`` would make, and the queued requests ride along
     with the replica's next window (its next advance, or the final drain).
     ``advance`` fans windows out to the stale replicas only and gathers
-    their snapshots concurrently; ``advance_all``/``drain_all`` broadcast
-    to everyone.
+    their snapshots concurrently; ``drain_all`` broadcasts to everyone.
 
     Worker replicas are rebuilt from their configuration in the worker
     process; the master-side :class:`~repro.cluster.simulator.Replica`
@@ -328,13 +308,13 @@ class ProcessPoolBackend(ExecutionBackend):
             raise RuntimeError(f"replica worker {index} failed:\n{payload}")
         return payload
 
-    def _send_window(self, index: int, advance_to: Optional[float], drain: bool,
+    def _send_window(self, index: int, advance_to: float,
                      max_iterations: Optional[int]) -> None:
-        """Ship one replica's deferred submits plus an advance/drain order."""
+        """Ship one replica's deferred submits plus an advance order."""
         submits = self._pending_submits[index]
         self._pending_submits[index] = []
         self._connections[index].send(
-            ("window", submits, advance_to, drain, max_iterations))
+            ("window", submits, advance_to, max_iterations))
 
     def _gather(self, indices: Sequence[int]) -> None:
         for index in indices:
@@ -345,11 +325,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def advance(self, indices: Sequence[int], time: float,
                 max_iterations: Optional[int] = None) -> None:
         for index in indices:
-            self._send_window(index, time, False, max_iterations)
+            self._send_window(index, time, max_iterations)
         self._gather(indices)
-
-    def advance_all(self, time: float, max_iterations: Optional[int] = None) -> None:
-        self.advance(range(len(self._replicas)), time, max_iterations)
 
     def submit(self, index: int, request: Request) -> None:
         # Defer the hand-off (it piggybacks on the next window) but reflect
@@ -365,10 +342,7 @@ class ProcessPoolBackend(ExecutionBackend):
             has_work=True))
 
     def drain_all(self, max_iterations: Optional[int] = None) -> None:
-        indices = range(len(self._replicas))
-        for index in indices:
-            self._send_window(index, None, True, max_iterations)
-        self._gather(indices)
+        self.advance(range(len(self._replicas)), math.inf, max_iterations)
 
     def collect_results(self) -> List[ServingResult]:
         for connection in self._connections:

@@ -15,23 +15,17 @@ large), and each :class:`Replica` exposes capability signals — a roofline
 throughput estimate, its KV budget, its engine kind — so capability-aware
 routers can weigh *what* a replica is, not just how loaded it is.
 
-Two cluster engines drive the timeline, selected by ``ClusterConfig.engine``:
-
-* ``"event-driven"`` (default) pops arrival and warm-up events off a heap
-  and, at each arrival, advances only the replicas that are *stale* — those
-  with work whose local clock lags the arrival.  Idle, drained or stopped
-  replicas cost nothing, and under the ``process-pool`` backend they cost
-  no pipe round-trips either.
-* ``"lockstep"`` is the legacy reference loop: every replica receives an
-  ``advance_until`` at every arrival, even when it is a no-op.
-
-Both engines are **bit-identical**: a skipped advance is exactly one that
-``advance_until`` would have no-opped (``has_work`` false, clock already
-caught up, or the iteration cap reached), and routing policies, the
-autoscaler and lifecycle transitions observe the same replica views at the
-same arrival boundaries either way.  The determinism suite in
-``tests/test_backends.py`` pins this equivalence across engines *and*
-execution backends.
+The timeline is event-driven: arrival and warm-up events pop off a heap
+and, at each arrival, only the replicas that are *stale* — those with work
+whose local clock lags the arrival — advance.  Idle, drained or stopped
+replicas cost nothing, and under the ``process-pool`` backend they cost no
+pipe round-trips either.  Staleness has one definition,
+:meth:`Replica.needs_advance`, which is also the loop condition of
+:meth:`Replica.advance_until`, so a skipped advance is exactly one that
+would have done nothing.  The determinism suite in
+``tests/test_backends.py`` checks the loop against a test-only reference
+that advances every replica at every arrival, under both execution
+backends.
 
 Load-aware policies (least-outstanding-requests, least-KV-utilization,
 predicted-TTFT) observe each replica's queue and memory state *as of the
@@ -52,9 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import ClusterConfig, ServingSimConfig
 from ..core.simulator import LLMServingSim
-from ..engine.iteration_cache import (IterationReuseCache, SharedIterationCache,
-                                      iteration_cache_file, load_iteration_cache,
-                                      save_iteration_cache)
+from ..engine.iteration_cache import (IterationReuseCache, iteration_cache_file,
+                                      load_iteration_cache, save_iteration_cache)
 from ..models.architectures import get_model
 from ..models.graph import BatchComposition, SequenceSpec, build_iteration_graph
 from ..models.layers import Phase
@@ -285,9 +278,9 @@ class Replica:
     def needs_advance(self, time: float, max_iterations: Optional[int] = None) -> bool:
         """Whether ``advance_until(time, max_iterations)`` would do anything.
 
-        This is the event-driven engine's staleness predicate; it mirrors
-        :meth:`advance_until`'s loop condition exactly, which is what makes
-        skipping non-stale replicas provably a no-op.
+        This is the cluster loop's staleness predicate and the loop
+        condition of :meth:`advance_until`: the replica has work, its clock
+        lags ``time`` and it is below the iteration cap.
         """
         if not self.has_work or self.clock >= time:
             return False
@@ -314,10 +307,11 @@ class Replica:
         return True
 
     def advance_until(self, time: float, max_iterations: Optional[int] = None) -> None:
-        """Step this replica until its clock reaches ``time`` or it runs dry."""
-        while self.has_work and self.clock < time:
-            if max_iterations is not None and self.iterations_run >= max_iterations:
-                return
+        """Step this replica until its clock reaches ``time`` or it runs dry.
+
+        ``advance_until(math.inf, cap)`` drains the replica.
+        """
+        while self.needs_advance(time, max_iterations):
             if not self.step():
                 return
 
@@ -329,8 +323,7 @@ class ClusterSimulator:
     ----------
     config:
         Cluster shape (homogeneous template or heterogeneous replica specs),
-        the routing policy, the cluster engine (event-driven or lockstep)
-        and optional autoscaling bounds.
+        the routing policy and optional autoscaling bounds.
     router:
         Optional pre-built routing policy; defaults to the policy named by
         ``config.routing``.  Custom policies registered through
@@ -347,11 +340,10 @@ class ClusterSimulator:
     Replicas of the same class whose configuration enables
     ``enable_iteration_reuse`` share one iteration-level reuse cache
     (``iteration_caches``, keyed by class name): a decode iteration
-    simulated on one replica is a cache hit on every sibling.  The caches
-    are :class:`~repro.engine.iteration_cache.SharedIterationCache`
-    instances; under the ``process-pool`` backend they are served to the
-    worker processes through a singleflight cache service, so cross-replica
-    reuse holds under both backends.  When ``config.cache_dir`` is set the
+    simulated on one replica is a cache hit on every sibling.  Under the
+    ``process-pool`` backend the caches are served to the worker processes
+    through a singleflight cache service, so cross-replica reuse holds under
+    both backends.  When ``config.cache_dir`` is set the
     per-class caches are warm-started from disk before the run and
     persisted after it, so parameter sweeps pay for each unique iteration
     signature once across runs.
@@ -371,7 +363,7 @@ class ClusterSimulator:
             cache = None
             if replica_config.enable_iteration_reuse:
                 cache = self.iteration_caches.setdefault(class_name,
-                                                         SharedIterationCache())
+                                                         IterationReuseCache())
             self.replicas.append(Replica(i, replica_config, class_name=class_name,
                                          iteration_cache=cache,
                                          check_invariants=self.config.check_invariants))
@@ -434,10 +426,7 @@ class ClusterSimulator:
         backend = self.backend
         backend.bind(self.replicas, self.iteration_caches)
         try:
-            if self.config.engine == "lockstep":
-                self._run_lockstep(backend, requests, max_iterations_per_replica)
-            else:
-                self._run_event_driven(backend, requests, max_iterations_per_replica)
+            self._serve_arrivals(backend, requests, max_iterations_per_replica)
 
             # All requests are placed: drain every replica (including
             # replicas the autoscaler put into DRAINING — their requests
@@ -468,10 +457,10 @@ class ClusterSimulator:
             e2e_slo_target=self.config.e2e_slo,
         )
 
-    # -- cluster engines -------------------------------------------------------
+    # -- the event loop --------------------------------------------------------
 
     def _handle_arrival(self, backend: ExecutionBackend, request: Request) -> None:
-        """Route one arrival (shared by both engines).
+        """Route one arrival.
 
         The caller has already caught the relevant replicas up to the
         arrival time; this refreshes lifecycles (warm-ups that elapsed,
@@ -494,17 +483,10 @@ class ClusterSimulator:
         backend.submit(index, request)
         self.assignments[request.request_id] = index
 
-    def _run_lockstep(self, backend: ExecutionBackend, requests: Sequence[Request],
-                      max_iterations_per_replica: Optional[int]) -> None:
-        """Legacy reference loop: advance *every* replica at every arrival."""
-        for request in requests:
-            backend.advance_all(request.arrival_time, max_iterations_per_replica)
-            self._handle_arrival(backend, request)
-
-    def _run_event_driven(self, backend: ExecutionBackend,
-                          requests: Sequence[Request],
-                          max_iterations_per_replica: Optional[int]) -> None:
-        """Event-driven engine: a heap of timeline events, selective advances.
+    def _serve_arrivals(self, backend: ExecutionBackend,
+                        requests: Sequence[Request],
+                        max_iterations_per_replica: Optional[int]) -> None:
+        """Place every request: a heap of timeline events, selective advances.
 
         Arrival events advance only the *stale* replicas — those whose
         ``advance_until`` would actually step (see
@@ -512,9 +494,10 @@ class ClusterSimulator:
         are skipped entirely, which under the ``process-pool`` backend also
         skips their pipe round-trips.  Warm-up completions scheduled by the
         autoscaler are heap events too: they transition WARMING replicas to
-        ACTIVE at their ``warm_at`` instant.  Skipped advances are provably
-        no-ops and lifecycle state is only *observed* at arrival
-        boundaries, so this engine is bit-identical to the lockstep loop.
+        ACTIVE at their ``warm_at`` instant.  Skipped advances change
+        nothing and lifecycle state is only *observed* at arrival
+        boundaries, so advancing every replica at every arrival instead
+        would simulate exactly the same thing.
         """
         events: List[Tuple[float, int, str, Optional[Request]]] = []
         sequence = 0

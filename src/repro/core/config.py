@@ -315,14 +315,6 @@ class ClusterConfig:
         a persistent worker process and fans out the between-arrival
         advances in parallel.  Both produce bit-identical results; names
         are resolved by :func:`repro.cluster.build_backend`.
-    engine:
-        How the cluster loop itself is driven: ``"event-driven"`` (the
-        default) pops arrival/warm-up events off a heap and advances only
-        the replicas whose next event precedes the popped time, so idle or
-        drained replicas cost nothing; ``"lockstep"`` is the legacy
-        advance-everything-per-arrival loop kept as the reference baseline
-        during the transition.  Both engines are bit-identical in simulated
-        behaviour (the determinism suite pins this).
     cache_dir:
         Optional directory persisting the per-class iteration-reuse caches
         across runs: caches are warm-started from it before the run and
@@ -362,7 +354,6 @@ class ClusterConfig:
     num_replicas: int = 2
     routing: str = "round-robin"
     execution_backend: str = "serial"
-    engine: str = "event-driven"
     cache_dir: Optional[str] = None
     replica: ServingSimConfig = field(default_factory=ServingSimConfig)
     replicas: Optional[List[ReplicaSpec]] = None
@@ -383,8 +374,6 @@ class ClusterConfig:
             raise ValueError("routing policy name must be non-empty")
         if not self.execution_backend:
             raise ValueError("execution backend name must be non-empty")
-        if self.engine not in ("event-driven", "lockstep"):
-            raise ValueError("engine must be 'event-driven' or 'lockstep'")
         if self.cache_dir is not None and not self.cache_dir:
             raise ValueError("cache_dir must be a non-empty path when set")
         if self.autoscale is not None:

@@ -107,7 +107,7 @@ class LLMServingSim:
         self.scheduler = build_scheduler(cfg.scheduling, self.kv_manager,
                                          cfg.max_batch, cfg.batch_delay)
         self.converter = GraphConverter(self.topology, self.plan, cfg.graph_granularity)
-        self.system_simulator = SystemSimulator(self.topology, NetworkModel(cfg.network))
+        self.system_simulator = SystemSimulator(NetworkModel(cfg.network))
         self.partitioner = (SubBatchPartitioner(cfg.num_sub_batches)
                             if cfg.sub_batch else None)
         if iteration_cache is not None:
@@ -246,7 +246,7 @@ class LLMServingSim:
         batch = plan.batch
 
         signature = None
-        if self.iteration_cache is not None and self.iteration_cache.enabled:
+        if self.iteration_cache is not None:
             num_sub_batches = (self.partitioner.num_sub_batches
                                if self.partitioner is not None else 1)
             signature = iteration_signature(batch, plan.memory_events, num_sub_batches)

@@ -6,7 +6,7 @@ from .compiler import CompileReport, CompilerModel
 from .gpu import GPUConfig, GPUEngine, RTX3090_GPU
 from .iteration_cache import (IterationCacheEntry, IterationCacheService,
                               IterationCacheStats, IterationReuseCache,
-                              RemoteIterationCache, SharedIterationCache,
+                              RemoteIterationCache,
                               iteration_cache_file, iteration_signature,
                               load_iteration_cache, save_iteration_cache)
 from .mapping import (HeterogeneousMapper, HomogeneousMapper, MappingDecision,
@@ -23,7 +23,7 @@ __all__ = [
     "CompileReport", "CompilerModel",
     "GPUConfig", "GPUEngine", "RTX3090_GPU",
     "IterationCacheEntry", "IterationCacheStats", "IterationReuseCache",
-    "SharedIterationCache", "RemoteIterationCache", "IterationCacheService",
+    "RemoteIterationCache", "IterationCacheService",
     "iteration_signature", "iteration_cache_file", "save_iteration_cache",
     "load_iteration_cache",
     "HeterogeneousMapper", "HomogeneousMapper", "MappingDecision", "OperatorMapper", "build_mapper",

@@ -60,16 +60,10 @@ class SimulationCache:
     enabled:
         When False every lookup misses; used by the "without reuse"
         experiment arms.
-    max_entries:
-        Optional bound on the number of cached entries; the cache evicts its
-        oldest entry once full (insertion-ordered dict).
     """
 
-    def __init__(self, enabled: bool = True, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive when given")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.max_entries = max_entries
         self._entries: Dict[Tuple, OperatorEstimate] = {}
         self.stats = CacheStats()
 
@@ -89,12 +83,9 @@ class SimulationCache:
         return estimate
 
     def store(self, device: DeviceType, operator: Operator, estimate: OperatorEstimate) -> None:
-        """Insert an estimate, evicting the oldest entry if the cache is full."""
+        """Insert an estimate (a no-op when the cache is disabled)."""
         if not self.enabled:
             return
-        if self.max_entries is not None and len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
         self._entries[self._key(device, operator)] = estimate
 
     def clear(self) -> None:

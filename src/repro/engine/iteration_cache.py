@@ -24,16 +24,13 @@ the full :class:`~repro.core.config.ServingSimConfig`, so a cache may only
 be shared between simulators built from the same configuration (the cluster
 layer shares one cache per :class:`~repro.core.config.ReplicaSpec` class).
 
-Three sharing tiers build on the plain :class:`IterationReuseCache`:
+Two sharing tiers build on the thread-safe :class:`IterationReuseCache`:
 
-* :class:`SharedIterationCache` — a thread-safe cache with **singleflight**
-  deduplication: concurrent misses on one signature elect a single leader
-  to simulate it while late arrivals block until the leader stores the
-  entry, so a signature is never computed twice no matter how many
-  same-class replicas race on it.
 * :class:`IterationCacheService` / :class:`RemoteIterationCache` — serve a
-  master-hosted :class:`SharedIterationCache` to worker *processes* over
-  pipes, restoring the serial backend's cross-replica hit rate under the
+  master-hosted cache to worker *processes* over pipes with
+  **singleflight** deduplication (concurrent misses on one signature elect
+  a single leader to simulate it while the others wait for its entry),
+  restoring the serial backend's cross-replica hit rate under the
   ``process-pool`` execution backend (worker-private caches would re-miss
   every signature once per worker).
 * :func:`save_iteration_cache` / :func:`load_iteration_cache` — optional
@@ -59,7 +56,7 @@ from ..scheduler.kv_cache import KVMemoryEvent
 from .stack import EngineStackReport
 
 __all__ = ["IterationCacheStats", "IterationCacheEntry", "IterationReuseCache",
-           "SharedIterationCache", "RemoteIterationCache", "IterationCacheService",
+           "RemoteIterationCache", "IterationCacheService",
            "iteration_signature", "iteration_cache_file", "save_iteration_cache",
            "load_iteration_cache"]
 
@@ -123,160 +120,51 @@ class IterationCacheEntry:
 class IterationReuseCache:
     """Memoizes whole-iteration latencies per iteration signature.
 
-    Parameters
-    ----------
-    enabled:
-        When False every lookup misses and nothing is stored.  Simulators
-        with reuse disabled simply carry no cache at all; the flag exists
-        for externally-injected caches (e.g. flipping one shared cache off
-        mid-experiment without rebuilding the fleet).
-    max_entries:
-        Optional bound on cached signatures; the oldest entry is evicted
-        once full (insertion-ordered dict, like the operator-level cache).
-    """
-
-    def __init__(self, enabled: bool = True, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive when given")
-        self.enabled = enabled
-        self.max_entries = max_entries
-        self._entries: Dict[Tuple, IterationCacheEntry] = {}
-        self.stats = IterationCacheStats()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, signature: Tuple) -> Optional[IterationCacheEntry]:
-        """Return the memoized entry or ``None``, updating hit/miss counters."""
-        if not self.enabled:
-            self.stats.misses += 1
-            return None
-        entry = self._entries.get(signature)
-        if entry is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
-        return entry
-
-    def peek(self, signature: Tuple) -> Optional[IterationCacheEntry]:
-        """Return the memoized entry or ``None`` without touching the counters."""
-        if not self.enabled:
-            return None
-        return self._entries.get(signature)
-
-    def store(self, signature: Tuple, entry: IterationCacheEntry) -> None:
-        """Insert an entry, evicting the oldest signature if the cache is full."""
-        if not self.enabled:
-            return
-        if self.max_entries is not None and len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[signature] = entry
-
-    def clear(self) -> None:
-        """Drop all entries and reset statistics."""
-        self._entries.clear()
-        self.stats = IterationCacheStats()
-
-
-class SharedIterationCache(IterationReuseCache):
-    """Thread-safe iteration cache with singleflight miss deduplication.
-
-    The plain :class:`IterationReuseCache` lets every concurrent miss on the
-    same signature run the full simulation pipeline; on a shared cache that
-    is pure waste — the entries are exact, so one computation serves
-    everyone.  This subclass adds the **singleflight** discipline: the first
-    misser of a signature becomes its *leader* and simulates it, every later
-    misser blocks in :meth:`acquire` until the leader :meth:`store`\\ s the
-    entry (or :meth:`abandon`\\ s it, in which case a waiter is promoted to
-    leader and retries).
-
-    ``lookup``/``store``/``peek``/``clear`` stay non-blocking and merely
-    become thread-safe, so the cache still drops into
-    :class:`~repro.core.simulator.LLMServingSim` unchanged; the blocking
-    :meth:`acquire` entry point is what concurrent consumers — the
-    in-process users of one shared cache, and the
-    :class:`IterationCacheService` on behalf of worker processes — use
-    instead of ``lookup``.
+    One cache is shared by every same-class replica of a cluster, and under
+    the ``process-pool`` backend it is read and written by the
+    :class:`IterationCacheService` thread, so ``lookup``/``peek``/``store``
+    take a lock around the entry map.
     """
 
     #: Lock discipline, enforced statically by `repro lint` rule REP006:
     #: these attributes may only be touched inside `with self._lock:` (or in
     #: a method documented as lock-held).
-    _LOCK_GUARDED = ("_entries", "_inflight")
+    _LOCK_GUARDED = ("_entries",)
 
-    def __init__(self, enabled: bool = True, max_entries: Optional[int] = None) -> None:
-        super().__init__(enabled=enabled, max_entries=max_entries)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._inflight: Dict[Tuple, threading.Event] = {}
+        self._entries: Dict[Tuple, IterationCacheEntry] = {}
+        self.stats = IterationCacheStats()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
     def lookup(self, signature: Tuple) -> Optional[IterationCacheEntry]:
+        """Return the memoized entry or ``None``, updating hit/miss counters."""
         with self._lock:
-            return super().lookup(signature)
+            entry = self._entries.get(signature)
+            if entry is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
+            return entry
 
     def peek(self, signature: Tuple) -> Optional[IterationCacheEntry]:
+        """Return the memoized entry or ``None`` without touching the counters."""
         with self._lock:
-            return super().peek(signature)
+            return self._entries.get(signature)
 
     def store(self, signature: Tuple, entry: IterationCacheEntry) -> None:
-        """Insert an entry and release every waiter blocked on its signature."""
+        """Insert (or replace) the entry of one signature."""
         with self._lock:
-            super().store(signature, entry)
-            event = self._inflight.pop(signature, None)
-        if event is not None:
-            event.set()
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-            inflight, self._inflight = self._inflight, {}
-        for event in inflight.values():
-            event.set()
-
-    # -- singleflight ----------------------------------------------------------
-
-    def acquire(self, signature: Tuple) -> Tuple[Optional[IterationCacheEntry], bool]:
-        """Hit, lead, or wait: the singleflight entry point.
-
-        Returns ``(entry, False)`` on a hit.  On a miss with nobody
-        computing the signature, returns ``(None, True)`` — the caller is
-        the leader and must :meth:`store` (or :meth:`abandon`) it.  On a
-        miss while a leader is in flight, blocks until the leader finishes,
-        then returns the stored entry as a hit — or retries for leadership
-        if the leader abandoned.
-        """
-        while True:
-            with self._lock:
-                entry = self._entries.get(signature) if self.enabled else None
-                if entry is not None:
-                    self.stats.hits += 1
-                    return entry, False
-                if not self.enabled:
-                    self.stats.misses += 1
-                    return None, True
-                event = self._inflight.get(signature)
-                if event is None:
-                    self._inflight[signature] = threading.Event()
-                    self.stats.misses += 1
-                    return None, True
-            event.wait()
-
-    def abandon(self, signature: Tuple) -> None:
-        """Give up leadership of a signature (the simulation failed).
-
-        Waiters wake, find no entry, and re-run the election — exactly one
-        of them becomes the new leader.
-        """
-        with self._lock:
-            event = self._inflight.pop(signature, None)
-        if event is not None:
-            event.set()
+            self._entries[signature] = entry
 
 
 class RemoteIterationCache:
-    """Worker-process proxy of a master-hosted :class:`SharedIterationCache`.
+    """Worker-process proxy of a master-hosted :class:`IterationReuseCache`.
 
-    Duck-types the ``enabled``/``lookup``/``store``/``stats`` surface that
+    Duck-types the ``lookup``/``store``/``stats`` surface that
     :class:`~repro.core.simulator.LLMServingSim` consumes, forwarding every
     operation over a pipe to the master's :class:`IterationCacheService`.
     ``lookup`` blocks while another worker leads the same signature (the
@@ -289,7 +177,6 @@ class RemoteIterationCache:
 
     def __init__(self, connection) -> None:
         self._connection = connection
-        self.enabled = True
         self.stats = IterationCacheStats()
 
     def lookup(self, signature: Tuple) -> Optional[IterationCacheEntry]:
@@ -311,7 +198,7 @@ class RemoteIterationCache:
 class IterationCacheService:
     """Serve shared iteration caches to worker processes over pipes.
 
-    The master process hosts one :class:`SharedIterationCache` per replica
+    The master process hosts one :class:`IterationReuseCache` per replica
     class; this service runs a daemon thread multiplexing the workers'
     cache pipes onto those caches:
 
@@ -408,9 +295,6 @@ class IterationCacheService:
             if entry is not None:
                 cache.stats.hits += 1
                 connection.send(("hit", entry))
-            elif not cache.enabled:
-                cache.stats.misses += 1
-                connection.send(("lead", None))
             elif key in self._waiters:
                 self._waiters[key].append(connection)  # reply deferred to the put
             else:

@@ -107,13 +107,20 @@ class GraphConverter:
             if not run:
                 return
             first = run[0]
-            total_latency = sum(e.latency for e in run)
+            # Plain left-to-right float addition: ``sum()`` of floats is
+            # compensated from Python 3.12 on, which would make simulated
+            # output depend on the interpreter version.
+            latency = compute_time = memory_time = 0.0
+            for e in run:
+                latency += e.latency
+                compute_time += e.compute_time
+                memory_time += e.memory_time
             merged.append(TraceEntry(
                 operator=replace(first.operator, name=first.operator.name + "+fused"),
                 engine=first.engine,
-                latency=total_latency,
-                compute_time=sum(e.compute_time for e in run),
-                memory_time=sum(e.memory_time for e in run),
+                latency=latency,
+                compute_time=compute_time,
+                memory_time=memory_time,
                 cached=all(e.cached for e in run),
                 sub_batch=first.sub_batch))
             run.clear()

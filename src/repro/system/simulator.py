@@ -1,7 +1,8 @@
 """System-level simulator (the ASTRA-sim substitute).
 
-Takes the execution graph produced by the graph converter, the system
-topology and the network model, and replays the graph in simulated time:
+Takes the execution graph produced by the graph converter (whose nodes
+already name the topology's devices they occupy) and the network model,
+and replays the graph in simulated time:
 every device executes one node at a time, a node starts once all its
 dependencies finished, collectives occupy every participating device, and
 point-to-point and host transfers occupy their endpoints for the duration
@@ -39,7 +40,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.execgraph import ExecutionGraph, GraphNodeType
 from .network import NetworkModel
-from .topology import SystemTopology
 
 __all__ = ["NodeTiming", "SystemSimulationResult", "SystemSimulator"]
 
@@ -160,14 +160,11 @@ class SystemSimulator:
 
     Parameters
     ----------
-    topology:
-        The system topology (used for validation and utilization reporting).
     network:
         Timing model for communication nodes.
     """
 
-    def __init__(self, topology: SystemTopology, network: Optional[NetworkModel] = None) -> None:
-        self.topology = topology
+    def __init__(self, network: Optional[NetworkModel] = None) -> None:
         self.network = network or NetworkModel()
 
     # -- public API ----------------------------------------------------------

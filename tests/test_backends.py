@@ -1,11 +1,13 @@
-"""Determinism suite: backends and cluster engines must be bit-identical.
+"""Determinism suite: backends and the cluster event loop must be bit-identical.
 
 The cluster loop's parallel fan-out is only admissible because the replica
 simulations are deterministic and independent between arrivals, and the
-event-driven engine's skipped advances are only admissible because they are
-provably no-ops; these tests pin both contracts across every routing
-policy, under autoscaling, on trace-replay workloads, and with
-iteration-level memoization on and off.  "Bit-identical" covers everything
+event loop's skipped advances are only admissible because they are no-ops;
+these tests pin both contracts across every routing policy, under
+autoscaling, on trace-replay workloads, and with iteration-level
+memoization on and off.  The second contract is checked against
+:class:`LockstepClusterSimulator`, a test-only reference that advances every
+replica at every arrival.  "Bit-identical" covers everything
 the cluster *simulated* — routing assignments, per-replica iteration
 records, request latency milestones, SLO metrics, the scaling timeline.
 Simulator-side wall clock is backend dependent; per-replica cache counters
@@ -35,6 +37,20 @@ def replica_config(**overrides):
 def bursty_trace(num_requests=12, seed=3):
     return generate_trace("alpaca", num_requests, arrival="poisson-burst",
                           rate_per_second=6.0, seed=seed)
+
+
+class LockstepClusterSimulator(ClusterSimulator):
+    """Reference cluster loop: advance *every* replica at every arrival.
+
+    This is the retired lockstep engine.  It never skips an advance, so it
+    checks that the event loop skips only advances that do nothing.
+    """
+
+    def _serve_arrivals(self, backend, requests, max_iterations_per_replica):
+        for request in requests:
+            backend.advance(range(len(self.replicas)), request.arrival_time,
+                            max_iterations_per_replica)
+            self._handle_arrival(backend, request)
 
 
 def run_cluster(config, make_workload):
@@ -229,17 +245,16 @@ class TestMemoizationDeterminism:
 
 
 class TestEngineDeterminism:
-    """Event-driven == lockstep, under both backends, on every scenario shape."""
+    """Event loop == lockstep reference, under both backends, on every scenario shape."""
 
-    ARMS = (("lockstep", "serial"), ("event-driven", "serial"),
-            ("event-driven", "process-pool"))
+    ARMS = ((LockstepClusterSimulator, "serial"), (ClusterSimulator, "serial"),
+            (ClusterSimulator, "process-pool"))
 
     def run_arms(self, make_config, make_workload):
         results = []
-        for engine, backend in self.ARMS:
-            config = dataclasses.replace(make_config(), engine=engine,
-                                         execution_backend=backend)
-            results.append(ClusterSimulator(config).run(make_workload()))
+        for simulator_type, backend in self.ARMS:
+            config = dataclasses.replace(make_config(), execution_backend=backend)
+            results.append(simulator_type(config).run(make_workload()))
         for other in results[1:]:
             assert_cluster_results_equal(results[0], other)
         return results[0]
@@ -290,7 +305,7 @@ class TestEngineDeterminism:
 
     def test_event_driven_respects_iteration_cap(self):
         config = ClusterConfig(num_replicas=2, routing="round-robin",
-                               replica=replica_config(), engine="event-driven",
+                               replica=replica_config(),
                                execution_backend="process-pool")
         result = ClusterSimulator(config).run(bursty_trace(8, seed=1),
                                               max_iterations_per_replica=2)

@@ -181,15 +181,6 @@ class TestSimulationCache:
         assert cache.stats.non_attention_misses == 1
         assert cache.stats.hit_rate == 0.0
 
-    def test_eviction_respects_max_entries(self):
-        cache = SimulationCache(max_entries=2)
-        ops = [gemm_op(m=m) for m in (1, 2, 3)]
-        estimate = NPUEngine().estimate(ops[0])
-        for op in ops:
-            cache.store(DeviceType.NPU, op, estimate)
-        assert len(cache) == 2
-        assert cache.lookup(DeviceType.NPU, ops[0]) is None
-
     def test_clear(self):
         cache = SimulationCache()
         op = gemm_op()

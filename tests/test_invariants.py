@@ -1,9 +1,10 @@
 """Tests for the runtime invariant checker (``--check-invariants``).
 
-Happy paths prove the checker stays silent across engines, backends and KV
-managers on healthy runs; the violation tests plant one bookkeeping bug per
-invariant (a KV-token drift, a non-monotonic event, a phantom cache lookup)
-and assert it is caught with a message naming the replica and request.
+Happy paths prove the checker stays silent on healthy runs, with and
+without iteration reuse and under both KV managers; the violation tests
+plant one bookkeeping bug per invariant (a KV-token drift, a non-monotonic
+event, a phantom cache lookup) and assert it is caught with a message
+naming the replica and request.
 """
 
 import dataclasses
@@ -39,10 +40,8 @@ class TestHappyPaths:
         replica = stepped_replica(steps=5)
         assert replica._invariant_checker.iterations_checked == 5
 
-    @pytest.mark.parametrize("engine", ["event-driven", "lockstep"])
-    def test_cluster_run_with_invariants_on(self, engine):
-        config = ClusterConfig(num_replicas=2, engine=engine,
-                               replica=replica_config(),
+    def test_cluster_run_with_invariants_on(self):
+        config = ClusterConfig(num_replicas=2, replica=replica_config(),
                                check_invariants=True)
         trace = generate_trace("alpaca", 8, arrival="burst", seed=0)
         result = ClusterSimulator(config).run(trace)

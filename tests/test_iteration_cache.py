@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import sys
 import threading
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro import LLMServingSim, ServingSimConfig
 from repro.engine import (EngineStackReport, IterationCacheEntry,
                           IterationCacheService, IterationReuseCache,
-                          RemoteIterationCache, SharedIterationCache,
+                          RemoteIterationCache,
                           iteration_cache_file, iteration_signature,
                           load_iteration_cache, save_iteration_cache)
 from repro.models import BatchComposition, Phase, SequenceSpec
@@ -71,110 +72,44 @@ class TestIterationReuseCache:
         assert cache.stats.hit_rate == pytest.approx(0.5)
         assert len(cache) == 1
 
-    def test_disabled_cache_never_hits_but_counts(self):
-        cache = IterationReuseCache(enabled=False)
-        cache.store(("sig",), self._entry())
-        assert cache.lookup(("sig",)) is None
-        assert len(cache) == 0
-        assert cache.stats.misses == 1
-
-    def test_max_entries_evicts_oldest(self):
-        cache = IterationReuseCache(max_entries=2)
-        for i in range(3):
-            cache.store((i,), self._entry(float(i)))
-        assert len(cache) == 2
-        assert cache.lookup((0,)) is None          # evicted
-        assert cache.lookup((2,)).latency == 2.0   # retained
-
-    def test_clear_resets_everything(self):
+    def test_lookup_and_store_are_thread_safe(self):
+        # Same-class replicas and the cache-service thread share one cache;
+        # a lost counter update would break the lookup total.
         cache = IterationReuseCache()
-        cache.store(("sig",), self._entry())
-        cache.lookup(("sig",))
-        cache.clear()
-        assert len(cache) == 0 and cache.stats.lookups == 0
+        signatures = [(i,) for i in range(50)]
 
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            IterationReuseCache(max_entries=0)
+        def worker(offset):
+            for step in range(400):
+                signature = signatures[(offset + step) % len(signatures)]
+                if cache.lookup(signature) is None:
+                    cache.store(signature, self._entry(float(signature[0])))
+
+        threads = [threading.Thread(target=worker, args=(7 * k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats.lookups == 8 * 400
+        assert cache.stats.misses >= len(signatures)
+        assert len(cache) == len(signatures)
+        assert all(cache.peek(s).latency == float(s[0]) for s in signatures)
 
 
 def _entry(latency=1.0):
     return IterationCacheEntry(latency=latency, engine_report=EngineStackReport())
 
 
-class TestSharedIterationCache:
-    def test_plain_cache_surface_is_thread_safe_superset(self):
-        cache = SharedIterationCache(max_entries=2)
-        cache.store(("a",), _entry(1.0))
-        assert cache.lookup(("a",)).latency == 1.0
-        assert cache.peek(("a",)) is not None
-        assert cache.stats.hits == 1 and cache.stats.misses == 0
-        cache.store(("b",), _entry())
-        cache.store(("c",), _entry())
-        assert len(cache) == 2 and cache.peek(("a",)) is None  # evicted
-
-    def test_acquire_hit_lead_and_store_release(self):
-        cache = SharedIterationCache()
-        entry, lead = cache.acquire(("sig",))
-        assert entry is None and lead, "first misser must become the leader"
-        cache.store(("sig",), _entry(2.0))
-        entry, lead = cache.acquire(("sig",))
-        assert not lead and entry.latency == 2.0
-        assert cache.stats.misses == 1 and cache.stats.hits == 1
-
-    def test_followers_block_until_leader_stores(self):
-        cache = SharedIterationCache()
-        _, lead = cache.acquire(("sig",))
-        assert lead
-        follower_results = []
-
-        def follow():
-            follower_results.append(cache.acquire(("sig",)))
-
-        threads = [threading.Thread(target=follow) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        assert not follower_results, "followers must wait on the leader"
-        cache.store(("sig",), _entry(3.0))
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert len(follower_results) == 3
-        assert all(not lead and entry.latency == 3.0
-                   for entry, lead in follower_results)
-        # Singleflight accounting: one miss (the leader), everyone else hits.
-        assert cache.stats.misses == 1 and cache.stats.hits == 3
-
-    def test_abandon_promotes_a_waiter(self):
-        cache = SharedIterationCache()
-        _, lead = cache.acquire(("sig",))
-        assert lead
-        outcomes = []
-
-        def follow():
-            outcomes.append(cache.acquire(("sig",)))
-
-        thread = threading.Thread(target=follow)
-        thread.start()
-        cache.abandon(("sig",))
-        thread.join(timeout=5.0)
-        assert len(outcomes) == 1
-        entry, promoted = outcomes[0]
-        assert entry is None and promoted, "a waiter must inherit leadership"
-
-    def test_disabled_shared_cache_always_leads(self):
-        cache = SharedIterationCache(enabled=False)
-        entry, lead = cache.acquire(("sig",))
-        assert entry is None and lead
-        cache.store(("sig",), _entry())
-        entry, lead = cache.acquire(("sig",))
-        assert entry is None and lead, "disabled cache must never block"
-
-
 class TestIterationCacheService:
     """The master-side pipe server workers reach shared caches through."""
 
-    def run_service(self, num_clients=2, enabled=True):
-        cache = SharedIterationCache(enabled=enabled)
+    def run_service(self, num_clients=2):
+        cache = IterationReuseCache()
         service = IterationCacheService({"default": cache})
         remotes = [RemoteIterationCache(service.register("default"))
                    for _ in range(num_clients)]

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import LLMServingSim, ServingSimConfig
 from repro.graph import ExecutionGraph
-from repro.system import SystemSimulator, build_topology
+from repro.system import SystemSimulator
 from repro.workload import Request
 
 DEVICES = (1, 2, 3, 4)
@@ -26,7 +26,7 @@ PAYLOADS = (0.0, 1.0, 4096.0, 64e6, 3e9)
 
 def assert_replay_matches_reference(graph: ExecutionGraph, start_time: float = 0.0,
                                     simulator: SystemSimulator = None) -> None:
-    simulator = simulator or SystemSimulator(build_topology(len(DEVICES), 1))
+    simulator = simulator or SystemSimulator()
     expected = reference_simulate(graph, simulator.network, start_time)
     actual = simulator.simulate(graph, start_time)
     assert actual.makespan == expected.makespan
@@ -93,7 +93,7 @@ def test_replay_matches_reference_on_converted_iterations():
     checked = 0
     for overrides in configs:
         sim = LLMServingSim(ServingSimConfig(**overrides))
-        replay = SystemSimulator(sim.topology, sim.system_simulator.network)
+        replay = SystemSimulator(sim.system_simulator.network)
         original = sim.system_simulator.simulate
 
         def checking_simulate(graph, start_time=0.0, original=original, replay=replay):

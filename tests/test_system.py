@@ -148,18 +148,15 @@ class TestNetworkModel:
 
 
 class TestSystemSimulator:
-    def _sim(self, devices=4):
-        return SystemSimulator(build_topology(devices, 1))
-
     def test_empty_graph(self):
-        result = self._sim().simulate(ExecutionGraph())
+        result = SystemSimulator().simulate(ExecutionGraph())
         assert result.makespan == 0.0
 
     def test_serial_chain_on_one_device(self):
         graph = ExecutionGraph()
         a = graph.add_compute("a", device=1, duration=1.0)
         b = graph.add_compute("b", device=1, duration=2.0, deps=[a.node_id])
-        result = self._sim().simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert result.makespan == pytest.approx(3.0)
         assert result.compute_time == pytest.approx(3.0)
         assert result.utilization(1) == pytest.approx(1.0)
@@ -168,14 +165,14 @@ class TestSystemSimulator:
         graph = ExecutionGraph()
         graph.add_compute("a", device=1, duration=2.0)
         graph.add_compute("b", device=2, duration=2.0)
-        result = self._sim().simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert result.makespan == pytest.approx(2.0)
 
     def test_same_device_serializes_independent_nodes(self):
         graph = ExecutionGraph()
         graph.add_compute("a", device=1, duration=2.0)
         graph.add_compute("b", device=1, duration=2.0)
-        result = self._sim().simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert result.makespan == pytest.approx(4.0)
 
     def test_collective_occupies_all_participants(self):
@@ -185,7 +182,7 @@ class TestSystemSimulator:
         ar = graph.add_collective("allreduce", devices=[1, 2], comm_bytes=64e6,
                                   deps=[a.node_id, b.node_id])
         graph.add_compute("after", device=1, duration=1.0, deps=[ar.node_id])
-        sim = self._sim()
+        sim = SystemSimulator()
         result = sim.simulate(graph)
         expected_ar = sim.network.allreduce_time(64e6, 2)
         assert result.makespan == pytest.approx(2.0 + expected_ar, rel=1e-6)
@@ -196,20 +193,20 @@ class TestSystemSimulator:
         a = graph.add_compute("a", device=1, duration=1.0)
         p = graph.add_p2p("send", src=1, dst=2, comm_bytes=64e9, deps=[a.node_id])
         graph.add_compute("b", device=2, duration=1.0, deps=[p.node_id])
-        sim = self._sim()
+        sim = SystemSimulator()
         result = sim.simulate(graph)
         assert result.makespan == pytest.approx(2.0 + sim.network.p2p_time(64e9), rel=1e-6)
 
     def test_memory_node_counts_as_memory_time(self):
         graph = ExecutionGraph()
         graph.add_memory("evict", device=1, comm_bytes=1e9, direction="store")
-        result = self._sim().simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert result.memory_time > 0
 
     def test_start_time_offsets_node_timings(self):
         graph = ExecutionGraph()
         graph.add_compute("a", device=1, duration=1.0)
-        result = self._sim().simulate(graph, start_time=100.0)
+        result = SystemSimulator().simulate(graph, start_time=100.0)
         assert result.node_timings[0].start == pytest.approx(100.0)
         assert result.node_timings[0].end == pytest.approx(101.0)
 
@@ -219,7 +216,7 @@ class TestSystemSimulator:
         for i in range(20):
             deps = [prev.node_id] if prev else []
             prev = graph.add_compute(f"n{i}", device=1 + i % 3, duration=0.1, deps=deps)
-        result = self._sim().simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert len(result.node_timings) == 20
         assert result.num_events == 20
 
@@ -228,7 +225,7 @@ class TestSystemSimulator:
         a = graph.add_compute("a", device=1, duration=1.0)
         b = graph.add_compute("b", device=2, duration=2.0, deps=[a.node_id])
         graph.add_compute("c", device=1, duration=3.0, deps=[b.node_id])
-        result = self._sim().simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert result.makespan >= graph.critical_path_compute_time() - 1e-9
 
     def test_large_single_device_graph_fifo_order_and_speed(self):
@@ -246,7 +243,7 @@ class TestSystemSimulator:
             graph.add_compute(f"fan{i}", device=1, duration=0.5,
                               deps=[root.node_id])
         started = _time.perf_counter()
-        result = SystemSimulator(build_topology(1, 1)).simulate(graph)
+        result = SystemSimulator().simulate(graph)
         elapsed = _time.perf_counter() - started
         assert result.makespan == pytest.approx(1.0 + 0.5 * num_nodes)
         assert len(result.node_timings) == num_nodes + 1
@@ -268,6 +265,6 @@ class TestSystemSimulator:
             node = graph.add_compute(f"n{i}", device=1 + (i % devices), duration=duration,
                                      deps=prev_ids[-1:] if i % 3 == 0 and prev_ids else [])
             prev_ids.append(node.node_id)
-        result = SystemSimulator(build_topology(max(devices, 1), 1)).simulate(graph)
+        result = SystemSimulator().simulate(graph)
         assert result.makespan <= sum(durations) + 1e-6
         assert result.makespan >= max(durations) - 1e-9
