@@ -16,15 +16,27 @@ Nodes are stored as parallel per-node lists indexed by node id, so building
 and replaying a graph allocates no object per node.  A dependency may only
 point at an earlier node, which makes every graph acyclic by construction
 and node-id order a topological order.
+
+A run of identical decoder blocks is stored as one laid-out *template* and
+a count of *copies* (:meth:`ExecutionGraph.repeat`).  The copies have node
+ids and their types, devices, durations and payloads are filled in by list
+repetition; their dependencies, names and metadata are built only when
+something reads them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 __all__ = ["GraphNodeType", "GraphNode", "ExecutionGraph"]
+
+#: ``relabel(copy, names, metadata)`` gives copy ``copy``'s node names and
+#: metadata from the template's (see :meth:`ExecutionGraph.repeat`).
+Relabel = Callable[[int, List[str], List[Mapping[str, object]]],
+                   Tuple[List[str], List[Mapping[str, object]]]]
 
 
 class GraphNodeType(enum.Enum):
@@ -93,8 +105,12 @@ class ExecutionGraph:
 
     Build graphs with :meth:`add_compute`, :meth:`add_collective`,
     :meth:`add_p2p` and :meth:`add_memory`; each rejects a dependency on a
-    node that does not exist yet.  The graph converter appends to the lists
-    directly under the same rule.
+    node that does not exist yet.  :meth:`repeat` appends copies of the
+    nodes added last.  The graph converter appends to the lists directly
+    under the same rule, writing dependencies, names and metadata to
+    ``stored_deps``, ``stored_names`` and ``stored_metadata``: the lists
+    behind ``deps``, ``names`` and ``metadata``, which hold ``None`` for a
+    copy until one of those three is read.
     """
 
     def __init__(self) -> None:
@@ -102,9 +118,16 @@ class ExecutionGraph:
         self.occupied: List[Tuple[int, ...]] = []
         self.durations: List[float] = []
         self.payloads: List[float] = []
-        self.deps: List[Tuple[int, ...]] = []
-        self.names: List[str] = []
-        self.metadata: List[Mapping[str, object]] = []
+        self.stored_deps: List[Optional[Tuple[int, ...]]] = []
+        self.stored_names: List[Optional[str]] = []
+        self.stored_metadata: List[Optional[Mapping[str, object]]] = []
+        #: ``(template_start, size, copies)`` per template, in node order:
+        #: nodes ``template_start + k * size + i`` for ``k`` in
+        #: ``1..copies`` are copies of template node ``template_start + i``.
+        self.repeats: List[Tuple[int, int, int]] = []
+        self._relabels: List[Optional[Relabel]] = []
+        #: How many entries of ``repeats`` have their copies built.
+        self._built = 0
 
     # -- construction -------------------------------------------------------
 
@@ -118,13 +141,14 @@ class ExecutionGraph:
         node_id = len(self.types)
         deps = tuple(deps)
         _check_deps(node_id, deps)
+        self._check_outside_copies(node_id, deps)
         self.types.append(node_type)
         self.occupied.append(occupied)
         self.durations.append(duration)
         self.payloads.append(payload)
-        self.deps.append(deps)
-        self.names.append(name)
-        self.metadata.append(metadata)
+        self.stored_deps.append(deps)
+        self.stored_names.append(name)
+        self.stored_metadata.append(metadata)
         return self.node(node_id)
 
     def add_compute(self, name: str, device: int, duration: float,
@@ -159,7 +183,108 @@ class ExecutionGraph:
         return self._add(GraphNodeType.MEMORY, (device,), 0.0, comm_bytes, deps, name,
                          metadata)
 
+    def repeat(self, template_start: int, copies: int, relabel: Optional[Relabel] = None) -> None:
+        """Append ``copies`` copies of the template, the nodes from ``template_start`` on.
+
+        With ``size`` template nodes, copy ``k`` (``1 <= k <= copies``) of
+        template node ``template_start + i`` is node ``template_start +
+        k * size + i``.  It has the template node's type, devices, duration
+        and payload, and its dependencies shifted by ``k * size``.  So every
+        template node must depend on earlier template nodes or on node
+        ``template_start - 1``, which each copy replaces by the last node of
+        the copy before it, and on nothing else; and a node added after the
+        copies may depend on the template and its copies only through the
+        last copy's last node.
+        ``relabel(k, names, metadata)`` gives copy ``k``'s names and metadata
+        from the template's; by default a copy keeps the template's.
+
+        Raises
+        ------
+        ValueError
+            If the template is empty, has no node before it, starts inside
+            an earlier template's copies, or has a node that depends on
+            nothing or on another node.
+        """
+        end = len(self.types)
+        size = end - template_start
+        if copies < 1:
+            raise ValueError("a repeat needs at least one copy")
+        if size < 1 or template_start < 1:
+            raise ValueError("a template needs at least one node and a node before it")
+        if self.repeats:
+            start, last_size, last_copies = self.repeats[-1]
+            if template_start - 1 < start + (last_copies + 1) * last_size:
+                raise ValueError(f"the node before template {template_start} belongs to the "
+                                 f"repeated blocks from node {start}")
+        for node_id in range(template_start, end):
+            deps = self.stored_deps[node_id]
+            if not deps or min(deps) < template_start - 1:
+                raise ValueError(
+                    f"template node {node_id} depends on {list(deps)}; a template node must "
+                    f"depend on its own nodes or on node {template_start - 1}, and only on them")
+        for column in (self.types, self.occupied, self.durations, self.payloads):
+            column.extend(column[template_start:end] * copies)
+        unbuilt = [None] * (size * copies)
+        self.stored_deps.extend(unbuilt)
+        self.stored_names.extend(unbuilt)
+        self.stored_metadata.extend(unbuilt)
+        self.repeats.append((template_start, size, copies))
+        self._relabels.append(relabel)
+
+    def _build_copies(self) -> None:
+        """Build the dependencies, names and metadata of every copy not built yet."""
+        deps_column, names_column = self.stored_deps, self.stored_names
+        metadata_column = self.stored_metadata
+        for index in range(self._built, len(self.repeats)):
+            start, size, copies = self.repeats[index]
+            relabel = self._relabels[index]
+            deps = deps_column[start:start + size]
+            names = names_column[start:start + size]
+            metadata = metadata_column[start:start + size]
+            for copy in range(1, copies + 1):
+                shift = copy * size
+                first = start + shift
+                deps_column[first:first + size] = [
+                    tuple([dep + shift for dep in node_deps]) for node_deps in deps]
+                copy_names, copy_metadata = (
+                    (names, metadata) if relabel is None else relabel(copy, names, metadata))
+                if len(copy_names) != size or len(copy_metadata) != size:
+                    raise ValueError(f"relabel gave copy {copy} of template {start} the wrong "
+                                     f"number of names or metadata")
+                names_column[first:first + size] = copy_names
+                metadata_column[first:first + size] = copy_metadata
+        self._built = len(self.repeats)
+
+    def _check_outside_copies(self, node_id: int, deps: Tuple[int, ...]) -> None:
+        for start, size, copies in self.repeats:
+            last = start + (copies + 1) * size - 1
+            if node_id <= last:
+                continue
+            for dep in deps:
+                if start <= dep < last:
+                    raise ValueError(
+                        f"node {node_id} depends on node {dep} of the repeated blocks "
+                        f"{start}..{last}; only their last node may be depended on")
+
     # -- queries ------------------------------------------------------------
+
+    @property
+    def deps(self) -> List[Tuple[int, ...]]:
+        """Every node's dependencies (builds the copies' on first read)."""
+        self._build_copies()
+        return self.stored_deps
+
+    @property
+    def names(self) -> List[str]:
+        """Every node's name (builds the copies' on first read)."""
+        self._build_copies()
+        return self.stored_names
+
+    @property
+    def metadata(self) -> List[Mapping[str, object]]:
+        """Every node's metadata (builds the copies' on first read)."""
+        self._build_copies()
+        return self.stored_metadata
 
     def __len__(self) -> int:
         return len(self.types)
@@ -169,15 +294,17 @@ class ExecutionGraph:
 
     def node(self, node_id: int) -> GraphNode:
         """A :class:`GraphNode` snapshot of one node."""
+        if self.stored_deps[node_id] is None:
+            self._build_copies()
         node_type = self.types[node_id]
         occupied = self.occupied[node_id]
         return GraphNode(
-            node_id=node_id, name=self.names[node_id], node_type=node_type,
+            node_id=node_id, name=self.stored_names[node_id], node_type=node_type,
             device=occupied[0], duration=self.durations[node_id],
             comm_bytes=self.payloads[node_id],
             comm_group=occupied if node_type is GraphNodeType.COLLECTIVE else (),
             peer_device=occupied[1] if node_type is GraphNodeType.P2P else None,
-            deps=set(self.deps[node_id]), metadata=dict(self.metadata[node_id]))
+            deps=set(self.stored_deps[node_id]), metadata=dict(self.stored_metadata[node_id]))
 
     @property
     def nodes(self) -> List[GraphNode]:
@@ -194,13 +321,27 @@ class ExecutionGraph:
     def validate(self) -> None:
         """Check that every dependency points at an earlier node.
 
+        Builds the copies of every template first.
+
         Raises
         ------
         ValueError
-            If a dependency points at a missing or later node.
+            If a dependency points at a missing or later node, or at a node
+            of repeated blocks other than their last.
         """
         for node_id, deps in enumerate(self.deps):
             _check_deps(node_id, deps)
+            self._check_outside_copies(node_id, deps)
+
+    def count(self, node_type: GraphNodeType) -> int:
+        """Number of nodes of one type, copies included (counted once per template)."""
+        types = self.types
+        total = first = 0
+        for start, size, copies in self.repeats:
+            total += (types[first:start].count(node_type)
+                      + types[start:start + size].count(node_type) * (copies + 1))
+            first = start + (copies + 1) * size
+        return total + types[first:].count(node_type)
 
     @property
     def total_compute_time(self) -> float:

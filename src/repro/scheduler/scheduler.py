@@ -101,9 +101,20 @@ class BaseScheduler:
         return self.pending[0].arrival_time
 
     def _arrived_pending(self) -> List[Request]:
+        """The pending requests that arrived at least ``batch_delay`` ago.
+
+        ``submit`` keeps ``pending`` sorted by arrival, and ``arrival +
+        batch_delay`` never decreases as arrival grows, so they are a prefix
+        of ``pending``: the scan stops at the first request still to arrive.
+        """
         cutoff = self.clock
-        return [r for r in self.pending
-                if r.arrival_time + self.batch_delay <= cutoff]
+        delay = self.batch_delay
+        arrived: List[Request] = []
+        for request in self.pending:
+            if request.arrival_time + delay > cutoff:
+                break
+            arrived.append(request)
+        return arrived
 
     def _batch_slots_left(self, current: int) -> int:
         if self.max_batch_size == 0:

@@ -24,6 +24,23 @@ node gets a device first, so every simulated time depends on them:
 * finishes at equal simulated times are processed in the order the nodes
   started, and each end time is ``start + duration``.
 
+Copies of a template block (:meth:`ExecutionGraph.repeat`) are replayed as
+straight-line code where that is provably what the heap would do.  Call a
+pop *quiescent* when, once it is taken, the heap is empty, no multi-device
+node waits, no node is queued and the popped node's devices are still
+marked busy, so that the replay's whole state is known.  When the pops of a
+template's entry (the node just before it) and exit (its last node) are
+both quiescent, the heap replay of the template is recorded: each node's
+*trigger* (the node whose pop dispatched it), its push sequence relative to
+the entry, and the pop order.  Each copy is then evaluated in that pop
+order as ``start[n] = end[trigger[n]]`` and ``end[n] = start[n] +
+duration[n]``, and accepted only if its ``(end, relative sequence)`` keys
+strictly increase along the order: then the heap would pop the same
+sequence, so every dispatch decision and every float operation is the same.
+A copy whose entry is not quiescent, or whose keys are out of order (a
+near-tie that rounds the other way), is replayed by the heap from its
+entry; the next copy is tried again.
+
 The output is the iteration's end-to-end latency (makespan) plus per-device
 utilization and a communication/computation breakdown — the statistics the
 LLMServingSim scheduler feeds back into its clock to schedule the next
@@ -33,6 +50,7 @@ iteration.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,15 +81,20 @@ class NodeTiming:
 class SystemSimulationResult:
     """Outcome of simulating one execution graph.
 
-    The replay records only each node's start and end and the order nodes
-    finished in; everything else is derived from those on first access.
+    The replay records each node's end, the start of each node the heap
+    dispatched, the order the heap popped nodes in, and where accepted
+    copies of a template finished; the completion order, the copies'
+    starts and everything else are derived from those on first access.
 
     Attributes
     ----------
     makespan:
         End-to-end latency of the graph in seconds.
     num_events:
-        Number of node completions processed (one per node).
+        Number of node completions processed (one per node, copies included).
+    accepted_copies / heap_replayed_copies:
+        Copies of template blocks evaluated as straight-line code, and
+        copies the heap replayed instead.
     compute_time:
         Total device-seconds spent in compute nodes.
     comm_time:
@@ -86,14 +109,37 @@ class SystemSimulationResult:
 
     def __init__(self, graph: ExecutionGraph, start_time: float = 0.0,
                  order: Sequence[int] = (), starts: Sequence[float] = (),
-                 ends: Sequence[float] = (), makespan: float = 0.0) -> None:
+                 ends: Sequence[float] = (), makespan: float = 0.0,
+                 copies: Sequence[Tuple[int, int, "_Recording"]] = (),
+                 heap_replayed_copies: int = 0) -> None:
         self.makespan = makespan
-        self.num_events = len(order)
+        self.num_events = len(order) + sum(len(recording.steps) for _, _, recording in copies)
+        self.accepted_copies = len(copies)
+        self.heap_replayed_copies = heap_replayed_copies
         self._graph = graph
         self._start_time = start_time
-        self._order = order
+        self._heap_order = order
         self._starts = starts
         self._ends = ends
+        #: ``(position in the heap order, first node, recording)`` per accepted copy.
+        self._copies = copies
+
+    @cached_property
+    def _order(self) -> List[int]:
+        """Every node in completion order; also fills in the accepted copies' starts."""
+        if not self._copies:
+            return list(self._heap_order)
+        order: List[int] = []
+        starts, ends, heap_order = self._starts, self._ends, self._heap_order
+        done = 0
+        for position, base, recording in self._copies:
+            order.extend(heap_order[done:position])
+            done = position
+            order.extend([base + node for node in recording.pop_order])
+            for node, trigger in enumerate(recording.triggers):
+                starts[base + node] = ends[base + trigger]
+        order.extend(heap_order[done:])
+        return order
 
     @cached_property
     def _totals(self) -> Tuple[float, float, float, Dict[int, float]]:
@@ -134,12 +180,14 @@ class SystemSimulationResult:
     @property
     def node_timings(self) -> List[NodeTiming]:
         graph, offset = self._graph, self._start_time
-        return [NodeTiming(node_id=node_id, name=graph.names[node_id],
+        order = self._order
+        names = graph.names
+        return [NodeTiming(node_id=node_id, name=names[node_id],
                            node_type=graph.types[node_id],
                            start=offset + self._starts[node_id],
                            end=offset + self._ends[node_id],
                            devices=graph.occupied[node_id])
-                for node_id in self._order]
+                for node_id in order]
 
     def utilization(self, device_id: int) -> float:
         """Fraction of the makespan a device spent busy."""
@@ -153,6 +201,87 @@ class SystemSimulationResult:
         if not busy or self.makespan <= 0:
             return 0.0
         return sum(busy) / (len(busy) * self.makespan)
+
+
+class _Recording:
+    """A straight-line program learnt from one quiescent heap replay of a copy.
+
+    ``steps`` holds one ``(node + 1, trigger + 1, duration, later)`` per node
+    in pop order, with node and trigger relative to the copy (trigger ``-1``
+    is the copy's entry) and ``later`` telling whether the node was pushed
+    after the node popped before it.
+    """
+
+    def __init__(self, nodes: Sequence[int], pops: Sequence[Tuple[int, int]],
+                 entry_sequence: int, base: int, durations: Sequence[float]) -> None:
+        """Learn from one heap replay of the copy whose first node is ``base``.
+
+        ``nodes`` are the copy's nodes in pop order; ``pops`` holds per pop
+        the node's push sequence and the sequence counter when it was
+        popped; ``entry_sequence`` is the counter at the entry's pop.  A
+        node was dispatched by the last pop at or below its push sequence.
+        """
+        counters = [entry_sequence] + [counter for _, counter in pops]
+        self.steps: List[Tuple[int, int, float, bool]] = []
+        #: Relative nodes in pop order, and per relative node its trigger.
+        self.pop_order = [node - base for node in nodes]
+        self.triggers = [0] * len(nodes)
+        previous = -1
+        for node, (pushed, _) in zip(nodes, pops):
+            popped_before = bisect_right(counters, pushed) - 1
+            trigger = nodes[popped_before - 1] - base if popped_before else -1
+            self.steps.append((node - base + 1, trigger + 1, durations[node], pushed > previous))
+            self.triggers[node - base] = trigger
+            previous = pushed
+        self._ends = [0.0] * (len(nodes) + 1)
+
+    def evaluate(self, entry_end: float) -> Optional[List[float]]:
+        """A copy's end times (index 0 is its entry's), or None if its pop order differs."""
+        ends = self._ends
+        ends[0] = last = entry_end
+        for node, trigger, duration, later in self.steps:
+            end = ends[trigger] + duration
+            if end <= last and (end < last or not later):
+                return None
+            ends[node] = end
+            last = end
+        return ends
+
+
+class _Template:
+    """Replay state of one template and its copies (see the module docstring).
+
+    Copy ``k`` (``0`` is the template itself) is nodes ``start + k * size``
+    to ``start + (k + 1) * size - 1``; its entry is the node just before.
+    """
+
+    def __init__(self, start: int, size: int, copies: int) -> None:
+        self.start = start
+        self.size = size
+        self.copies = copies
+        #: The latest quiescent heap replay of the template or a copy.
+        self.recording: Optional[_Recording] = None
+        #: Per relative node ``-1..size-1`` (index + 1), the relative nodes
+        #: that depend on it; built when a copy is first handed to the heap.
+        self._children: Optional[List[List[int]]] = None
+        self._remaining: List[int] = []
+
+    def prepare_heap_copy(self, base: int, deps: Sequence[Tuple[int, ...]],
+                          remaining: List[int], dependents: List[Sequence[int]]) -> None:
+        """Give the heap copy ``base``'s dependency counts and dependents."""
+        size = self.size
+        if self._children is None:
+            start = self.start
+            children: List[List[int]] = [[] for _ in range(size + 1)]
+            for node in range(size):
+                for dep in deps[start + node]:
+                    children[dep - start + 1].append(node)
+            self._children = children
+            self._remaining = [len(deps[start + node]) for node in range(size)]
+        remaining[base:base + size] = self._remaining
+        for node, nodes in enumerate(self._children, start=base - 1):
+            if nodes:
+                dependents[node] = [base + child for child in nodes]
 
 
 class SystemSimulator:
@@ -179,15 +308,32 @@ class SystemSimulator:
         if num_nodes == 0:
             return SystemSimulationResult(graph, start_time)
         occupied = graph.occupied
-        durations = self._durations(graph)
-        remaining = [len(deps) for deps in graph.deps]
-        dependents: List[List[int]] = [[] for _ in range(num_nodes)]
-        for node_id, deps in enumerate(graph.deps):
-            for dep in deps:
-                dependents[dep].append(node_id)
+        deps_of = graph.stored_deps
+        # Dependency counts and dependents of every node outside the copies;
+        # a copy gets its own only if the heap replays it.
+        originals = _originals(graph)
+        durations = self._durations(graph, originals)
+        remaining = [0] * num_nodes
+        dependents: List[Sequence[int]] = [()] * num_nodes
+        for first, last in originals:
+            remaining[first:last] = [len(deps) for deps in deps_of[first:last]]
+            for node_id in range(first, last):
+                for dep in deps_of[node_id]:
+                    if dependents[dep]:
+                        dependents[dep].append(node_id)
+                    else:
+                        dependents[dep] = [node_id]
+        # Entry node of copy k of a template -> (template, k); k = 0 is the
+        # template itself.
+        entries: Dict[int, Tuple[_Template, int]] = {}
+        for start, size, copies in graph.repeats:
+            template = _Template(start, size, copies)
+            for copy in range(copies + 1):
+                entries[start + copy * size - 1] = (template, copy)
 
+        placements = {devices for first, last in originals for devices in occupied[first:last]}
         busy: Dict[int, bool] = dict.fromkeys(
-            [device for devices in sorted(set(occupied)) for device in devices], False)
+            [device for devices in sorted(placements) for device in devices], False)
         # Ready single-device nodes queued behind their busy device.
         ready: Dict[int, Deque[int]] = {device: deque() for device in busy}
         # Ready multi-device nodes waiting for endpoints: node id -> count of
@@ -202,12 +348,22 @@ class SystemSimulator:
         push, pop = heapq.heappush, heapq.heappop
         sequence = 0
         now = 0.0
+        # Accepted copies as (position in ``order``, first node, recording),
+        # and the count of copies the heap replayed.
+        accepted: List[Tuple[int, int, _Recording]] = []
+        heap_copies = 0
+        # The copy whose heap replay is being recorded: its template, copy
+        # number, entry sequence counter and position in ``order``; and per
+        # pop since its entry, the popped node's push sequence and the
+        # counter at the pop.
+        recording: Optional[Tuple[_Template, int, int, int]] = None
+        pops: Optional[List[Tuple[int, int]]] = None
 
         # Nodes with no dependencies become ready at time zero, in id order;
         # then each finish makes its dependents ready.  ``released`` holds
         # the nodes a step makes ready, ``freed`` the devices it frees.
-        released: Sequence[int] = [node_id for node_id in range(num_nodes)
-                                   if not remaining[node_id]]
+        released: Sequence[int] = [node_id for first, last in originals
+                                   for node_id in range(first, last) if not remaining[node_id]]
         freed: Tuple[int, ...] = ()
         while True:
             for node_id in released:
@@ -268,9 +424,53 @@ class SystemSimulator:
 
             if not heap:
                 break
-            now, _, node_id = pop(heap)
+            now, pushed, node_id = pop(heap)
             ends[node_id] = now
             order.append(node_id)
+            if pops is not None:
+                pops.append((pushed, sequence))
+            if node_id in entries:
+                template, copy = entries[node_id]
+                # Nothing else in flight, and the popped node's devices still
+                # marked busy (a node that lists a device twice frees it twice).
+                quiescent = (not heap and not waiting and not any(ready.values())
+                             and all(busy[device] for device in occupied[node_id]))
+                if recording is not None:
+                    # This pop ends the recorded copy if it is that copy's
+                    # exit, quiescent, and the copy's nodes were all it popped.
+                    recorded, recorded_copy, entry_sequence, position = recording
+                    base = recorded.start + recorded_copy * recorded.size
+                    nodes = order[position:]
+                    if (recorded is template and recorded_copy == copy - 1 and quiescent
+                            and len(nodes) == template.size
+                            and all(base <= node < base + template.size for node in nodes)):
+                        template.recording = _Recording(nodes, pops, entry_sequence, base,
+                                                        durations)
+                    recording = pops = None
+                size = template.size
+                while 0 < copy <= template.copies:
+                    # The pop of ``node_id`` is copy ``copy``'s entry.
+                    base = template.start + copy * size
+                    program = template.recording
+                    copy_ends = (program.evaluate(now)
+                                 if quiescent and program is not None else None)
+                    if copy_ends is None:
+                        heap_copies += 1
+                        template.prepare_heap_copy(base, deps_of, remaining, dependents)
+                        break
+                    ends[base:base + size] = copy_ends[1:]
+                    accepted.append((len(order), base, program))
+                    sequence += size
+                    node_id = base + size - 1
+                    now = ends[node_id]
+                    copy += 1
+                # Record a heap replay of the template (unless its entry and
+                # exit occupy different devices) or of a copy, for the copies
+                # after it.
+                if (quiescent and copy < template.copies
+                        and (copy or occupied[node_id] == occupied[node_id + size])):
+                    recording = (template, copy, sequence, len(order))
+                    pops = []
             released = []
             for child in dependents[node_id]:
                 remaining[child] -= 1
@@ -278,29 +478,52 @@ class SystemSimulator:
                     released.append(child)
             freed = occupied[node_id]
 
-        if len(order) != num_nodes:
-            missing = num_nodes - len(order)
+        result = SystemSimulationResult(graph, start_time, order, starts, ends, makespan=now,
+                                        copies=accepted, heap_replayed_copies=heap_copies)
+        if result.num_events != num_nodes:
+            missing = num_nodes - result.num_events
             raise RuntimeError(f"system simulation deadlocked with {missing} unfinished nodes")
-        return SystemSimulationResult(graph, start_time, order, starts, ends, makespan=now)
+        return result
 
     # -- helpers ---------------------------------------------------------------
 
-    def _durations(self, graph: ExecutionGraph) -> List[float]:
-        """Every node's duration: compute time, or the network model's transfer time."""
+    def _durations(self, graph: ExecutionGraph,
+                   originals: Sequence[Tuple[int, int]]) -> List[float]:
+        """Every node's duration: compute time, or the network model's transfer time.
+
+        Computed for the nodes in ``originals`` and repeated for the copies.
+        """
         durations = list(graph.durations)
         network = self.network
-        payloads, occupied, metadata = graph.payloads, graph.occupied, graph.metadata
-        for node_id, node_type in enumerate(graph.types):
-            if node_type is GraphNodeType.COMPUTE:
-                continue
-            payload = payloads[node_id]
-            if node_type is GraphNodeType.COLLECTIVE:
-                durations[node_id] = network.allreduce_time(payload, len(occupied[node_id]))
-            elif node_type is GraphNodeType.P2P:
-                if metadata[node_id].get("pool_transfer"):
-                    durations[node_id] = network.pool_transfer_time(payload)
+        types, payloads, occupied = graph.types, graph.payloads, graph.occupied
+        metadata = graph.stored_metadata
+        for first, last in originals:
+            for node_id in range(first, last):
+                node_type = types[node_id]
+                if node_type is GraphNodeType.COMPUTE:
+                    continue
+                payload = payloads[node_id]
+                if node_type is GraphNodeType.COLLECTIVE:
+                    durations[node_id] = network.allreduce_time(payload, len(occupied[node_id]))
+                elif node_type is GraphNodeType.P2P:
+                    if metadata[node_id].get("pool_transfer"):
+                        durations[node_id] = network.pool_transfer_time(payload)
+                    else:
+                        durations[node_id] = network.p2p_time(payload)
                 else:
-                    durations[node_id] = network.p2p_time(payload)
-            else:
-                durations[node_id] = network.host_transfer_time(payload)
+                    durations[node_id] = network.host_transfer_time(payload)
+        for start, size, copies in graph.repeats:
+            durations[start + size:start + (copies + 1) * size] = (
+                durations[start:start + size] * copies)
         return durations
+
+
+def _originals(graph: ExecutionGraph) -> List[Tuple[int, int]]:
+    """The ``[first, last)`` node ranges outside every template's copies."""
+    ranges: List[Tuple[int, int]] = []
+    first = 0
+    for start, size, copies in graph.repeats:
+        ranges.append((first, start + size))
+        first = start + (copies + 1) * size
+    ranges.append((first, len(graph)))
+    return ranges

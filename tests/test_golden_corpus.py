@@ -8,7 +8,10 @@ latency)`` and every request's timestamps; for the cluster run,
 :func:`repro.bench.cluster_result_fingerprint`.
 
 A change that keeps simulated behaviour bit-identical keeps every value
-here.  Print the current values with ``PYTHONPATH=src python
+here.  ``gpt2-tensor2-near-tie`` is a run on which the system simulator
+replays one copy of a template block with its heap instead of as
+straight-line code; its value was computed before block templates existed.
+Print the current values with ``PYTHONPATH=src python
 tests/test_golden_corpus.py``.
 """
 
@@ -19,6 +22,7 @@ import pytest
 from repro import ClusterConfig, ClusterSimulator, LLMServingSim, ServingSimConfig
 from repro.bench import cluster_result_fingerprint
 from repro.models import get_model
+from repro.system import SystemSimulator
 from repro.workload import Request
 
 #: (input tokens, output tokens, arrival time) of a staggered mixed batch.
@@ -29,6 +33,13 @@ EVICTING = [(64, 64, 0.0)] * 3
 #: Six requests at t=0 whose reloads land on full KV page boundaries.
 RELOAD_BOUNDARY = [(40, 60, 0.0), (47, 65, 0.0), (54, 70, 0.0), (61, 75, 0.0), (45, 63, 0.0),
                    (52, 68, 0.0)]
+
+#: A staggered batch on which one copy of a template block is replayed by the
+#: heap: in iteration 29 two attention operators end 2.7e-20 s apart in the
+#: template and at the same time in the copy after it.
+NEAR_TIE = [(49, 13, 0.0), (58, 7, 0.002), (17, 38, 0.004), (20, 27, 0.006), (82, 7, 0.008),
+            (72, 17, 0.01), (12, 9, 0.012), (63, 30, 0.014), (16, 19, 0.016), (19, 39, 0.018),
+            (62, 7, 0.02), (113, 40, 0.022)]
 
 GPT2_KV_TOKEN_BYTES = get_model("gpt2").kv_bytes_per_token()
 
@@ -55,6 +66,8 @@ CASES = {
                                    graph_granularity="block"), MIXED),
     "gpt2-static": (dict(model_name="gpt2", npu_num=1, npu_mem_gb=4.0,
                          scheduling="static"), MIXED),
+    "gpt2-tensor2-near-tie": (dict(model_name="gpt2", npu_num=2, npu_mem_gb=4.0,
+                                   parallel="tensor"), NEAR_TIE),
 }
 
 GOLDEN = {
@@ -64,6 +77,7 @@ GOLDEN = {
     "gpt2-pim-pool": "5bb187e8ff5e8adf688e5493a97e28a30709763e8df2911cf04dd2a92360cd92",
     "gpt2-pim-pool-subbatch": "a00cd485e820e7c4ad82342f7a4d3a44781548b177b25e04c1b3ddcb93094c94",
     "gpt2-static": "451480ec8644a05fc0478afef1274e172021a0c62b986ba65761d7f11ea4a125",
+    "gpt2-tensor2-near-tie": "3a2b72026fe0d5fecc616373a75020fac1fedebf05cfae012fbdbbcebc48bca7",
     "gpt2-tensor2-reload-boundary": "b0c0e93be84f18164b397627db4ec363549149dc91dd05075854c941d6345730",
     "gpt3-7b-hybrid2x2": "8618293b49ac050a002161f598247b0d27ac85c67f2afa97f722d2e32a87d82b",
     "gpt3-7b-pipeline4": "0a355858dca3a2807f2af7ad7403927261616858a682879655536c2b289c9366",
@@ -108,6 +122,23 @@ def test_single_system_fingerprint(name):
 
 def test_cluster_fingerprint():
     assert run_cluster() == CLUSTER_GOLDEN
+
+
+def test_near_tie_case_replays_a_copy_with_the_heap(monkeypatch):
+    """The near-tie case keeps covering the replay's fallback from a template."""
+    counts = {"accepted": 0, "heap": 0}
+    simulate = SystemSimulator.simulate
+
+    def counting(self, graph, start_time=0.0):
+        result = simulate(self, graph, start_time)
+        counts["accepted"] += result.accepted_copies
+        counts["heap"] += result.heap_replayed_copies
+        return result
+
+    monkeypatch.setattr(SystemSimulator, "simulate", counting)
+    run_case("gpt2-tensor2-near-tie")
+    assert counts["heap"] >= 1
+    assert counts["accepted"] > 100 * counts["heap"]
 
 
 if __name__ == "__main__":

@@ -364,6 +364,47 @@ class TestIterationLevelScheduler:
             build_scheduler("fifo", manager)
 
 
+class _CountingList(list):
+    """A list that counts the items its iterator hands out."""
+
+    inspected = 0
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            self.inspected += 1
+            yield item
+
+
+class TestArrivedPending:
+    """The arrived-request scan stops at the first request still to arrive."""
+
+    @given(arrivals=st.lists(st.sampled_from((0.0, 0.1, 0.25, 0.3, 1.0, 2.5)), max_size=30),
+           clock=st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.35, 1.0, 3.0)),
+           delay=st.sampled_from((0.0, 0.05, 0.2, 0.7)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan(self, arrivals, clock, delay):
+        scheduler = IterationLevelScheduler(paged_manager(), batch_delay=delay)
+        scheduler.submit([Request(i, 8, 2, arrival_time=t) for i, t in enumerate(arrivals)])
+        scheduler.clock = clock
+        assert scheduler._arrived_pending() == [
+            r for r in scheduler.pending if r.arrival_time + delay <= clock]
+
+    def test_inspects_only_the_arrived_prefix(self):
+        scheduler = IterationLevelScheduler(paged_manager())
+        scheduler.submit([Request(i, 8, 2, arrival_time=100.0 + i) for i in range(4000)]
+                         + [Request(4000 + i, 8, 2, arrival_time=0.001 * i) for i in range(3)])
+        scheduler.clock = 0.0015
+        scheduler.pending = _CountingList(scheduler.pending)
+        arrived = scheduler._arrived_pending()
+        assert [r.request_id for r in arrived] == [4000, 4001]
+        # The two arrived requests and the first one still to arrive.
+        assert scheduler.pending.inspected == 3
+        plan = scheduler.next_iteration()
+        assert [r.request_id for r in plan.initiation_requests] == [4000, 4001]
+        assert scheduler.pending.inspected == 3 + 3
+        assert len(scheduler.pending) == 4001
+
+
 class TestStaticBatchScheduler:
     def test_no_admission_mid_batch(self):
         manager = paged_manager()
