@@ -9,9 +9,8 @@ speedup levers the perf trajectory tracks:
   cannot express a fan-out speedup, only its overhead);
 * iteration-level memoization must reach the paper-motivated reuse regime
   on the steady-state decode scenario (>= 50 % iteration-cache hit rate)
-  while remaining bit-identical to the non-memoized run, and the shared
-  singleflight cache must keep the process-pool hit rate at parity with
-  serial.
+  while remaining bit-identical to the non-memoized run and to the
+  process-pool run, whose workers keep private caches.
 
 The emitted ``BENCH_cluster.json`` is the artifact CI archives per commit.
 """
@@ -68,19 +67,6 @@ class TestBenchMatrix:
             f"steady-state decode hit rate {entry['hit_rate']:.1%} below 50%")
         assert entry["modeled_speedup"] > 1.5
         assert entry["reuse"]["reuse-off"]["iteration_cache_hits"] == 0
-
-    def test_shared_cache_keeps_process_pool_hit_rate_at_serial_parity(
-            self, quick_report):
-        entry = next(e for e in quick_report["scenarios"]
-                     if e["name"] == "steady-decode-reuse")
-        serial = entry["hit_rate"]
-        pooled = entry["hit_rate_process_pool"]
-        # Singleflight guarantees one miss per unique signature cluster-wide,
-        # so the totals-derived hit rates match to well within the 5-point
-        # acceptance tolerance.
-        assert abs(serial - pooled) <= 0.05, (
-            f"process-pool hit rate {pooled:.1%} drifted from serial "
-            f"{serial:.1%}")
 
     @pytest.mark.skipif((os.cpu_count() or 1) < MIN_CORES_FOR_SPEEDUP_CHECK,
                         reason="fan-out speedup needs a multi-core host")

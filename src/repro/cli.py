@@ -118,6 +118,23 @@ def _add_serving_args(parser: argparse.ArgumentParser, arrival_default: str = "p
                         help="iteration cap (per system)")
 
 
+def _serving_config(args: argparse.Namespace, **fields) -> ServingSimConfig:
+    """The configuration of the flags ``_add_serving_args`` shares plus ``fields``."""
+    return ServingSimConfig(
+        model_name=args.model_name,
+        npu_num=args.npu_num,
+        npu_group=args.npu_group,
+        npu_mem_gb=args.npu_mem,
+        max_batch=args.max_batch,
+        batch_delay=args.batch_delay,
+        scheduling=args.scheduling,
+        parallel=ParallelismStrategy(args.parallel),
+        kv_manage=args.kv_manage,
+        seed=args.seed,
+        **fields,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Create the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -265,7 +282,8 @@ def build_cluster_parser() -> argparse.ArgumentParser:
     parser.add_argument("--iteration-reuse", action="store_true",
                         help="enable iteration-level memoization (replay "
                              "latencies of previously simulated iteration "
-                             "signatures; shared per replica class)")
+                             "signatures; shared per replica class within "
+                             "one process)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persist per-class iteration-reuse caches under "
                              "DIR and warm-start from them, so parameter "
@@ -305,19 +323,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
     parser = build_cluster_parser()
     args = parser.parse_args(argv)
 
-    base_config = ServingSimConfig(
-        model_name=args.model_name,
-        npu_num=args.npu_num,
-        npu_group=args.npu_group,
-        npu_mem_gb=args.npu_mem,
-        max_batch=args.max_batch,
-        batch_delay=args.batch_delay,
-        scheduling=args.scheduling,
-        parallel=ParallelismStrategy(args.parallel),
-        kv_manage=args.kv_manage,
-        enable_iteration_reuse=args.iteration_reuse,
-        seed=args.seed,
-    )
+    base_config = _serving_config(args, enable_iteration_reuse=args.iteration_reuse)
     try:
         specs = [parse_replica_spec(text, base_config) for text in args.replica_spec]
     except argparse.ArgumentTypeError as exc:
@@ -473,22 +479,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    config = ServingSimConfig(
-        model_name=args.model_name,
-        npu_num=args.npu_num,
-        npu_group=args.npu_group,
-        npu_mem_gb=args.npu_mem,
-        max_batch=args.max_batch,
-        batch_delay=args.batch_delay,
-        scheduling=args.scheduling,
-        parallel=ParallelismStrategy(args.parallel),
-        kv_manage=args.kv_manage,
-        pim_type=args.pim_type,
-        sub_batch=args.sub_batch,
-        enable_block_reuse=not args.no_reuse,
-        enable_computation_reuse=not args.no_reuse,
-        seed=args.seed,
-    )
+    config = _serving_config(args, pim_type=args.pim_type, sub_batch=args.sub_batch,
+                             enable_block_reuse=not args.no_reuse,
+                             enable_computation_reuse=not args.no_reuse)
 
     if args.trace:
         if not Path(args.trace).is_file():
@@ -509,7 +502,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"model                 : {config.model_name}")
     print(f"npus                  : {config.npu_num} ({config.parallel.value} parallelism, "
           f"{config.effective_groups} group(s))")
-    print(f"requests              : {len(result.finished_requests)}/{len(result.requests)} finished")
+    print(f"requests              : {len(result.finished_requests)}/{len(result.requests)} "
+          f"finished, {len(result.rejected_requests)} rejected")
     print(f"iterations            : {len(result.iterations)}")
     print(f"simulated makespan    : {result.makespan:.2f} s")
     print(f"prompt throughput     : {result.prompt_throughput:.1f} tokens/s")

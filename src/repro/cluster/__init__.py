@@ -7,8 +7,7 @@ against the arrival-rate curve with warm-up and drain semantics.
 
 from .autoscaler import Autoscaler, ReplicaLifecycle, ScalingEvent
 from .backend import (ExecutionBackend, ProcessPoolBackend, ReplicaLoadSnapshot,
-                      SerialBackend, available_backends, build_backend,
-                      register_backend)
+                      SerialBackend, available_backends, build_backend)
 from .results import ClusterResult
 from .router import (LeastKVUtilizationRouter, LeastOutstandingRouter, ReplicaView,
                      RequestRouter, RoundRobinRouter, SLOTTFTRouter,
@@ -23,6 +22,6 @@ __all__ = [
     "available_routers", "build_router", "register_router", "routable_indices",
     "Autoscaler", "ReplicaLifecycle", "ScalingEvent",
     "ExecutionBackend", "SerialBackend", "ProcessPoolBackend", "ReplicaLoadSnapshot",
-    "available_backends", "build_backend", "register_backend",
+    "available_backends", "build_backend",
     "ClusterSimulator", "Replica", "estimate_device_throughput",
 ]

@@ -4,9 +4,9 @@
 on arrival boundaries: between two arrivals the stale replicas are advanced
 independently until their local clocks catch up.  Those advances are
 embarrassingly parallel — replicas only interact through the router (which
-runs between them) and the shared iteration cache (which is exact, so
-sharing never changes results) — so this module factors *how* they execute
-behind an :class:`ExecutionBackend`:
+runs between them) and the per-class iteration cache (which is exact, so
+sharing it never changes results) — so this module factors *how* they
+execute behind an :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` (``"serial"``) steps every replica in-process, in
   index order.  This is the reference implementation.
@@ -27,17 +27,17 @@ Both backends produce **bit-identical** simulation results: the per-replica
 simulations are deterministic, a worker applies its window's submits in
 routing order before advancing (the same order the serial backend runs
 them), and the router sees the same load views at the same points of the
-arrival loop.  When iteration-level reuse is enabled the master's per-class
-:class:`~repro.engine.iteration_cache.IterationReuseCache` instances are
-served to the workers by an
-:class:`~repro.engine.iteration_cache.IterationCacheService` over dedicated
-cache pipes, with singleflight deduplication — so cross-replica cache hits
-(and cluster-wide hit/miss totals) match the serial backend instead of
-each worker re-simulating its siblings' iterations in a private cache.
+arrival loop.  When iteration-level reuse is enabled each worker serves its
+replica from a private copy of the master's per-class
+:class:`~repro.engine.iteration_cache.IterationReuseCache`, taken at
+``bind``, and returns its entries with its result at ``collect``, where the
+master merges them into the class cache.  A worker therefore re-simulates a
+signature that only a sibling worker has seen: hit and miss counts depend
+on how signatures fall across workers, the simulated output does not.
 
-Backends are registered by name like routing policies, so experiments can
-plug in alternatives (e.g. a thread pool for a GIL-free interpreter)
-through :func:`register_backend`.
+A backend is chosen by name (``ClusterConfig.execution_backend``) from the
+two built-ins; any other :class:`ExecutionBackend` can be passed to
+:class:`~repro.cluster.simulator.ClusterSimulator` directly.
 """
 
 from __future__ import annotations
@@ -47,20 +47,16 @@ import math
 import multiprocessing
 import traceback
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    TYPE_CHECKING)
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.results import ServingResult
-from ..engine.iteration_cache import (IterationCacheService, IterationReuseCache,
-                                      RemoteIterationCache)
 from ..workload.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .simulator import Replica
 
 __all__ = ["ReplicaLoadSnapshot", "ExecutionBackend", "SerialBackend",
-           "ProcessPoolBackend", "available_backends", "build_backend",
-           "register_backend"]
+           "ProcessPoolBackend", "available_backends", "build_backend"]
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,8 @@ class ExecutionBackend:
 
     name = "base"
 
-    def bind(self, replicas: Sequence["Replica"],
-             iteration_caches: Optional[Mapping[str, IterationReuseCache]] = None,
-             ) -> None:
-        """Attach to the master's replicas (and their shared caches) for a run."""
+    def bind(self, replicas: Sequence["Replica"]) -> None:
+        """Attach to the master's replicas for a run."""
         raise NotImplementedError
 
     def advance(self, indices: Sequence[int], time: float,
@@ -128,6 +122,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def collect_results(self) -> List[ServingResult]:
+        """Per-replica results; the replicas' class caches hold every entry after."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -142,11 +137,7 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._replicas: List["Replica"] = []
 
-    def bind(self, replicas: Sequence["Replica"],
-             iteration_caches: Optional[Mapping[str, IterationReuseCache]] = None,
-             ) -> None:
-        # Replicas already hold their shared per-class caches in-process;
-        # no extra cache plumbing is needed serially.
+    def bind(self, replicas: Sequence["Replica"]) -> None:
         self._replicas = list(replicas)
 
     def advance(self, indices: Sequence[int], time: float,
@@ -165,8 +156,8 @@ class SerialBackend(ExecutionBackend):
         return [replica.simulator.collect_result() for replica in self._replicas]
 
 
-def _replica_worker_main(conn, cache_conn, config, replica_id: int,
-                         class_name: str, check_invariants: bool = False) -> None:
+def _replica_worker_main(conn, config, replica_id: int, class_name: str,
+                         iteration_cache=None, check_invariants: bool = False) -> None:
     """Command loop of one persistent replica worker process.
 
     Builds a fresh replica from its configuration (state must start clean
@@ -178,19 +169,17 @@ def _replica_worker_main(conn, cache_conn, config, replica_id: int,
     The one substantive command is the batched event window
     ``("window", submits, advance_to, max_iterations)``: apply the deferred
     submits in routing order, advance to ``advance_to`` (``math.inf``
-    drains), reply with the post-window snapshot.
+    drains), reply with the post-window snapshot.  ``collect`` replies with
+    the replica's result and its iteration cache's entries.
 
-    When ``cache_conn`` is set, the replica's iteration cache is a
-    :class:`~repro.engine.iteration_cache.RemoteIterationCache` proxy of the
-    master's shared per-class cache, giving this worker singleflight-
-    deduplicated cross-replica reuse.
+    ``iteration_cache`` is this worker's private copy of the master's class
+    cache (``None`` with iteration reuse off).
     """
     from .simulator import Replica
 
     try:
-        cache = RemoteIterationCache(cache_conn) if cache_conn is not None else None
         replica = Replica(replica_id, config, class_name=class_name,
-                          iteration_cache=cache,
+                          iteration_cache=iteration_cache,
                           check_invariants=check_invariants)
         conn.send(("ok", snapshot_replica(replica)))
     except Exception:
@@ -209,7 +198,9 @@ def _replica_worker_main(conn, cache_conn, config, replica_id: int,
                     replica.advance_until(advance_to, max_iterations)
                     conn.send(("ok", snapshot_replica(replica)))
                 elif command == "collect":
-                    conn.send(("ok", replica.simulator.collect_result()))
+                    entries = (iteration_cache.entries
+                               if iteration_cache is not None else None)
+                    conn.send(("ok", (replica.simulator.collect_result(), entries)))
                 elif command == "close":
                     return
                 else:
@@ -237,11 +228,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     Worker replicas are rebuilt from their configuration in the worker
     process; the master-side :class:`~repro.cluster.simulator.Replica`
-    objects stay snapshot-backed and never build their simulators.  Shared
-    per-class iteration caches are served to workers by an
-    :class:`~repro.engine.iteration_cache.IterationCacheService` thread in
-    the master (started only after every worker is forked), so reuse
-    behaves as if all replicas shared one in-process cache.
+    objects stay snapshot-backed and never build their simulators.  Each
+    worker starts with a copy of its replica's class cache and no pipe
+    traffic on a lookup; ``collect_results`` merges the workers' entries back
+    into the master's class caches.
     """
 
     name = "process-pool"
@@ -255,46 +245,31 @@ class ProcessPoolBackend(ExecutionBackend):
         self._connections: list = []
         self._processes: list = []
         self._pending_submits: List[List[Request]] = []
-        self._cache_service: Optional[IterationCacheService] = None
 
-    def bind(self, replicas: Sequence["Replica"],
-             iteration_caches: Optional[Mapping[str, IterationReuseCache]] = None,
-             ) -> None:
+    def bind(self, replicas: Sequence["Replica"]) -> None:
         self.close()
         self._replicas = list(replicas)
         self._connections = []
         self._processes = []
         self._pending_submits = [[] for _ in self._replicas]
-        service = (IterationCacheService(dict(iteration_caches))
-                   if iteration_caches else None)
         for replica in self._replicas:
             parent_conn, child_conn = self._context.Pipe()
-            cache_conn = None
-            if service is not None and replica.iteration_cache is not None:
-                cache_conn = service.register(replica.class_name)
             process = self._context.Process(
                 target=_replica_worker_main,
-                args=(child_conn, cache_conn, replica.config,
-                      replica.replica_id, replica.class_name,
+                args=(child_conn, replica.config, replica.replica_id,
+                      replica.class_name, replica.iteration_cache,
                       replica.check_invariants),
                 daemon=True,
                 name=f"replica-worker-{replica.replica_id}",
             )
             process.start()
             child_conn.close()
-            if cache_conn is not None:
-                cache_conn.close()
             self._connections.append(parent_conn)
             self._processes.append(process)
         # Gather the ready handshakes: the workers' pristine snapshots detach
         # the master replicas from their (never-built) local simulators.
         for index, replica in enumerate(self._replicas):
             replica.attach_snapshot(self._receive(index))
-        # Start serving the shared caches only now — forking a process while
-        # the service thread holds locks would be undefined behaviour.
-        if service is not None:
-            service.start()
-        self._cache_service = service
 
     # -- pipe plumbing ---------------------------------------------------------
 
@@ -347,7 +322,13 @@ class ProcessPoolBackend(ExecutionBackend):
     def collect_results(self) -> List[ServingResult]:
         for connection in self._connections:
             connection.send(("collect",))
-        return [self._receive(index) for index in range(len(self._connections))]
+        results = []
+        for index, replica in enumerate(self._replicas):
+            result, entries = self._receive(index)
+            if entries:
+                replica.iteration_cache.entries.update(entries)
+            results.append(result)
+        return results
 
     def close(self) -> None:
         for connection in self._connections:
@@ -356,12 +337,6 @@ class ProcessPoolBackend(ExecutionBackend):
             except (BrokenPipeError, OSError):
                 pass
             connection.close()
-        # Tear the cache service down after the close commands are out: a
-        # worker blocked on a cache reply sees its pipe drop and exits
-        # instead of deadlocking the joins below.
-        if self._cache_service is not None:
-            self._cache_service.close()
-            self._cache_service = None
         for process in self._processes:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - defensive teardown
@@ -378,15 +353,8 @@ _BACKEND_FACTORIES: Dict[str, Callable[[], ExecutionBackend]] = {
 }
 
 
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    """Register a custom execution backend under ``name`` (overwrites allowed)."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    _BACKEND_FACTORIES[name] = factory
-
-
 def available_backends() -> list:
-    """Names of all registered execution backends."""
+    """Names of the built-in execution backends."""
     return sorted(_BACKEND_FACTORIES)
 
 

@@ -73,6 +73,11 @@ class ClusterResult:
     def finished_requests(self) -> List[Request]:
         return [r for r in self.requests if r.is_finished]
 
+    @property
+    def rejected_requests(self) -> List[Request]:
+        """Requests whose prompt could never fit their replica's KV cache."""
+        return [r for result in self.replica_results for r in result.rejected_requests]
+
     def requests_per_replica(self) -> List[int]:
         """Number of requests routed to each replica."""
         return [len(result.requests) for result in self.replica_results]
@@ -211,6 +216,7 @@ class ClusterResult:
             ["replicas", str(self.num_replicas)],
             ["routing", self.routing],
             ["requests finished", f"{len(self.finished_requests)}/{len(self.requests)}"],
+            ["requests rejected", str(len(self.rejected_requests))],
             ["requests per replica", "/".join(str(c) for c in self.requests_per_replica())],
             ["cluster makespan (s)", f"{self.makespan:.2f}"],
             ["generation throughput (tok/s)", f"{self.generation_throughput:.1f}"],

@@ -332,21 +332,22 @@ class ClusterSimulator:
         ``config.autoscale`` — it must be bound to this simulator's replica
         list, so it cannot be meaningfully pre-built by the caller.
     backend:
-        Optional pre-built execution backend; defaults to the backend named
-        by ``config.execution_backend`` (``"serial"`` or ``"process-pool"``,
-        plus anything registered through
-        :func:`repro.cluster.register_backend`).
+        Optional pre-built execution backend, e.g. a custom
+        :class:`~repro.cluster.backend.ExecutionBackend`; defaults to the
+        built-in backend named by ``config.execution_backend``
+        (``"serial"`` or ``"process-pool"``).
 
     Replicas of the same class whose configuration enables
     ``enable_iteration_reuse`` share one iteration-level reuse cache
-    (``iteration_caches``, keyed by class name): a decode iteration
-    simulated on one replica is a cache hit on every sibling.  Under the
-    ``process-pool`` backend the caches are served to the worker processes
-    through a singleflight cache service, so cross-replica reuse holds under
-    both backends.  When ``config.cache_dir`` is set the
-    per-class caches are warm-started from disk before the run and
-    persisted after it, so parameter sweeps pay for each unique iteration
-    signature once across runs.
+    (``iteration_caches``, keyed by class name): under the ``serial``
+    backend a decode iteration simulated on one replica is a cache hit on
+    every sibling.  Under ``process-pool`` each worker serves its replica
+    from a private copy of the class cache and the master merges the
+    workers' entries back when it collects results, so siblings in
+    different workers each simulate a signature once.  When
+    ``config.cache_dir`` is set the per-class caches are warm-started from
+    disk before the run and persisted after it, so parameter sweeps pay for
+    each unique iteration signature once across runs.
     """
 
     def __init__(self, config: Optional[ClusterConfig] = None,
@@ -424,7 +425,7 @@ class ClusterSimulator:
         requests.sort(key=lambda r: (r.arrival_time, r.request_id))
 
         backend = self.backend
-        backend.bind(self.replicas, self.iteration_caches)
+        backend.bind(self.replicas)
         try:
             self._serve_arrivals(backend, requests, max_iterations_per_replica)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Union
 
-from ..workload.request import Request
+from ..workload.request import Request, RequestState
 from .simtime import ComponentTimes
 
 __all__ = ["IterationRecord", "ThroughputPoint", "ServingResult"]
@@ -133,6 +133,11 @@ class ServingResult:
     @property
     def finished_requests(self) -> List[Request]:
         return [r for r in self.requests if r.is_finished]
+
+    @property
+    def rejected_requests(self) -> List[Request]:
+        """Requests whose prompt could never fit the KV cache (never served)."""
+        return [r for r in self.requests if r.state is RequestState.REJECTED]
 
     def mean_end_to_end_latency(self) -> float:
         """Average request completion latency over finished requests."""

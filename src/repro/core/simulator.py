@@ -19,13 +19,11 @@ workflow of Figure 4:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..engine.cache import SimulationCache
 from ..engine.compiler import CompilerModel
-from ..engine.iteration_cache import (IterationCacheEntry, IterationReuseCache,
-                                      iteration_signature)
+from ..engine.iteration_cache import IterationReuseCache, iteration_signature
 from ..engine.mapping import build_mapper
 from ..engine.npu import NPUEngine
 from ..engine.pim import PIMEngine
@@ -147,7 +145,8 @@ class LLMServingSim:
 
         Returns the iteration's record, or ``None`` when no further progress
         is possible — either all work is done or the remaining requests are
-        stuck (e.g. a request larger than the KV budget).
+        stuck.  A request whose prompt can never fit the KV budget is
+        rejected by the scheduler rather than left pending.
         """
         while self.scheduler.has_work:
             with self.simtime.measure("scheduler"):
@@ -250,13 +249,11 @@ class LLMServingSim:
             num_sub_batches = (self.partitioner.num_sub_batches
                                if self.partitioner is not None else 1)
             signature = iteration_signature(batch, plan.memory_events, num_sub_batches)
-            entry = self.iteration_cache.lookup(signature)
-            if entry is not None:
+            latency = self.iteration_cache.lookup(signature)
+            if latency is not None:
                 self.simtime.account_cached_iteration(plan.num_requests)
                 self.result.iteration_cache_hits += 1
-                self.last_engine_report = replace(entry.engine_report,
-                                                  served_from_iteration_cache=True)
-                return entry.latency
+                return latency
             self.result.iteration_cache_misses += 1
 
         if self.partitioner is not None:
@@ -291,8 +288,6 @@ class LLMServingSim:
 
         self.simtime.account_iteration(stack_result.report, self.converter.stats,
                                        plan.num_requests)
-        self.last_engine_report = stack_result.report
         if signature is not None:
-            self.iteration_cache.store(signature, IterationCacheEntry(
-                latency=system_result.makespan, engine_report=stack_result.report))
+            self.iteration_cache.store(signature, system_result.makespan)
         return system_result.makespan

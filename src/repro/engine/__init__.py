@@ -4,11 +4,9 @@ from .base import ExecutionEngine, OperatorEstimate
 from .cache import CacheStats, SimulationCache
 from .compiler import CompileReport, CompilerModel
 from .gpu import GPUConfig, GPUEngine, RTX3090_GPU
-from .iteration_cache import (IterationCacheEntry, IterationCacheService,
-                              IterationCacheStats, IterationReuseCache,
-                              RemoteIterationCache,
-                              iteration_cache_file, iteration_signature,
-                              load_iteration_cache, save_iteration_cache)
+from .iteration_cache import (IterationReuseCache, iteration_cache_file,
+                              iteration_signature, load_iteration_cache,
+                              save_iteration_cache)
 from .mapping import (HeterogeneousMapper, HomogeneousMapper, MappingDecision,
                       OperatorMapper, build_mapper)
 from .npu import NPUConfig, NPUEngine, TABLE1_NPU
@@ -22,9 +20,7 @@ __all__ = [
     "CacheStats", "SimulationCache",
     "CompileReport", "CompilerModel",
     "GPUConfig", "GPUEngine", "RTX3090_GPU",
-    "IterationCacheEntry", "IterationCacheStats", "IterationReuseCache",
-    "RemoteIterationCache", "IterationCacheService",
-    "iteration_signature", "iteration_cache_file", "save_iteration_cache",
+    "IterationReuseCache", "iteration_signature", "iteration_cache_file", "save_iteration_cache",
     "load_iteration_cache",
     "HeterogeneousMapper", "HomogeneousMapper", "MappingDecision", "OperatorMapper", "build_mapper",
     "NPUConfig", "NPUEngine", "TABLE1_NPU",

@@ -52,11 +52,6 @@ class EngineStackReport:
         Number of operators mapped to each engine class.
     schedule_makespan:
         Overlapped makespan estimate of the operator schedule.
-    served_from_iteration_cache:
-        True when this report describes an iteration that was *not*
-        re-simulated at all: the whole stack run was skipped and the report
-        replayed from the iteration-level reuse cache
-        (:class:`~repro.engine.iteration_cache.IterationReuseCache`).
     """
 
     compile_report: CompileReport = field(default_factory=CompileReport)
@@ -65,7 +60,6 @@ class EngineStackReport:
     cached_operators: int = 0
     operators_by_engine: Dict[DeviceType, int] = field(default_factory=dict)
     schedule_makespan: float = 0.0
-    served_from_iteration_cache: bool = False
 
     @property
     def simulated_operators(self) -> int:

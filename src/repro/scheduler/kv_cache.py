@@ -79,6 +79,15 @@ class KVCacheManager:
         """Whether a new request with ``num_tokens`` prompt tokens fits now."""
         raise NotImplementedError
 
+    def can_ever_admit(self, num_tokens: int) -> bool:
+        """Whether such a request could *ever* be admitted, into an empty cache.
+
+        ``False`` means the prompt alone exceeds a hard cap (the whole cache,
+        or the manager's maximum sequence length); schedulers reject such
+        requests instead of letting them block admission forever.
+        """
+        return True
+
     def admit(self, request_id: int, num_tokens: int) -> None:
         """Reserve cache space for a newly admitted request's prompt.
 
@@ -195,6 +204,9 @@ class PagedKVCacheManager(KVCacheManager):
 
     def can_admit(self, num_tokens: int) -> bool:
         return self._pages_for(num_tokens + 1) <= self.free_pages
+
+    def can_ever_admit(self, num_tokens: int) -> bool:
+        return self._pages_for(num_tokens + 1) <= self.total_pages
 
     def admit(self, request_id: int, num_tokens: int) -> None:
         if request_id in self._entries:
@@ -325,6 +337,10 @@ class MaxAllocKVCacheManager(KVCacheManager):
         if num_tokens + 1 > self.max_seq_len:
             return False
         return self.used_bytes() + self.reservation_bytes <= self.capacity_bytes
+
+    def can_ever_admit(self, num_tokens: int) -> bool:
+        return (num_tokens + 1 <= self.max_seq_len
+                and self.reservation_bytes <= self.capacity_bytes)
 
     def admit(self, request_id: int, num_tokens: int) -> None:
         if request_id in self._requests:

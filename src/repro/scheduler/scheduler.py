@@ -40,6 +40,7 @@ class SchedulerStats:
     reloads: int = 0
     stalled_growths: int = 0
     truncated_requests: int = 0
+    rejected_requests: int = 0
     max_batch_size_seen: int = 0
 
 
@@ -162,6 +163,16 @@ class BaseScheduler:
         self._finish_request(request)
         self.stats.truncated_requests += 1
 
+    def _reject_request(self, request: Request) -> None:
+        """Drop a pending request whose prompt can never fit the KV cache.
+
+        Waiting cannot help it, so it leaves the queue in the terminal
+        ``REJECTED`` state instead of blocking every later arrival.
+        """
+        request.state = RequestState.REJECTED
+        self.pending.remove(request)
+        self.stats.rejected_requests += 1
+
 
 class IterationLevelScheduler(BaseScheduler):
     """Orca-style iteration-level scheduling with paged KV management."""
@@ -223,7 +234,10 @@ class IterationLevelScheduler(BaseScheduler):
             if slots <= 0:
                 break
             if not self.kv_manager.can_admit(request.input_tokens):
-                break
+                if self.kv_manager.can_ever_admit(request.input_tokens):
+                    break  # it has to wait: admission stays first-come-first-served
+                self._reject_request(request)
+                continue
             self.kv_manager.admit(request.request_id, request.input_tokens)
             request.state = RequestState.INITIATION
             request.admitted_time = self.clock
@@ -284,7 +298,10 @@ class StaticBatchScheduler(BaseScheduler):
                 if slots <= 0:
                     break
                 if not self.kv_manager.can_admit(request.input_tokens):
-                    break
+                    if self.kv_manager.can_ever_admit(request.input_tokens):
+                        break
+                    self._reject_request(request)
+                    continue
                 self.kv_manager.admit(request.request_id, request.input_tokens)
                 request.state = RequestState.INITIATION
                 request.admitted_time = self.clock

@@ -25,6 +25,7 @@ class RequestState(enum.Enum):
     GENERATION = "generation"  # autoregressively generating tokens
     EVICTED = "evicted"        # KV cache moved to host memory due to pressure
     FINISHED = "finished"      # all output tokens produced
+    REJECTED = "rejected"      # prompt can never fit the KV cache; never served
 
 
 @dataclass

@@ -212,6 +212,15 @@ class TestClusterSimulator:
         assert result.makespan > 0
         assert result.generation_throughput > 0
 
+    def test_rejected_requests_are_counted(self):
+        config = ClusterConfig(num_replicas=2, routing="round-robin",
+                               replica=replica_config(kv_capacity_bytes=4 * 2**20))
+        requests = [Request(0, 16, 8, 0.0), Request(1, 900, 8, 0.1), Request(2, 16, 8, 0.2)]
+        result = ClusterSimulator(config).run(requests)
+        assert [r.request_id for r in result.rejected_requests] == [1]
+        assert len(result.finished_requests) == 2
+        assert ["requests rejected", "1"] in result.summary_rows()
+
     def test_assignment_covers_every_request(self):
         result = self._run("least-outstanding")
         assert sorted(result.assignments) == sorted(r.request_id for r in result.requests)

@@ -41,7 +41,8 @@ NEAR_TIE = [(49, 13, 0.0), (58, 7, 0.002), (17, 38, 0.004), (20, 27, 0.006), (82
             (72, 17, 0.01), (12, 9, 0.012), (63, 30, 0.014), (16, 19, 0.016), (19, 39, 0.018),
             (62, 7, 0.02), (113, 40, 0.022)]
 
-#: A prompt larger than a 7-page KV cache between two that fit.
+#: A prompt larger than a 7-page KV cache between two that fit: the scheduler
+#: rejects it and still serves the third.
 UNFITTABLE = [(16, 8, 0.0), (900, 8, 0.1), (16, 8, 0.2)]
 
 GPT2_KV_TOKEN_BYTES = get_model("gpt2").kv_bytes_per_token()
@@ -75,10 +76,6 @@ CASES = {
                                     kv_capacity_bytes=4 * 2**20), UNFITTABLE),
 }
 
-#: Requests a case leaves unfinished: the unfittable prompt blocks admission
-#: of every later request.
-UNFINISHED = {"gpt2-unfittable-prompt": 2}
-
 GOLDEN = {
     "gpt2-1npu": "a0e1b47f7510e99e2ae4d6dddbb21ba780ecd3c5ce500801c0ea86078b91c78c",
     "gpt2-evict-reload": "4e1c0e11fd4ad76e82a78e10bc8b0844dd4df8664e0e5ef807d306baccf6561e",
@@ -88,7 +85,7 @@ GOLDEN = {
     "gpt2-static": "451480ec8644a05fc0478afef1274e172021a0c62b986ba65761d7f11ea4a125",
     "gpt2-tensor2-near-tie": "3a2b72026fe0d5fecc616373a75020fac1fedebf05cfae012fbdbbcebc48bca7",
     "gpt2-tensor2-reload-boundary": "b0c0e93be84f18164b397627db4ec363549149dc91dd05075854c941d6345730",
-    "gpt2-unfittable-prompt": "cbcb90309c5d425fcc3a66e1af5eda527b71ff9e5b4c72f279d2ecd7961933ec",
+    "gpt2-unfittable-prompt": "ca134872fb2f8138d2a09bb5cba2ab6e024114bb97d5820efaf14cbaac78b636",
     "gpt3-7b-hybrid2x2": "8618293b49ac050a002161f598247b0d27ac85c67f2afa97f722d2e32a87d82b",
     "gpt3-7b-pipeline4": "0a355858dca3a2807f2af7ad7403927261616858a682879655536c2b289c9366",
     "gpt3-7b-tensor4": "9cb998298a02084dae897dee42f6ccba28f34ab9341291cbd0ae3efacd8aec70",
@@ -113,7 +110,7 @@ def serving_fingerprint(result) -> str:
 def run_case(name: str) -> str:
     overrides, spec = CASES[name]
     result = LLMServingSim(ServingSimConfig(**overrides)).run(make_requests(spec))
-    assert len(result.finished_requests) == len(spec) - UNFINISHED.get(name, 0)
+    assert len(result.finished_requests) + len(result.rejected_requests) == len(spec)
     return serving_fingerprint(result)
 
 

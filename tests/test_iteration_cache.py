@@ -2,17 +2,13 @@
 
 import dataclasses
 import pickle
-import sys
-import threading
 
 import pytest
 
-from repro import LLMServingSim, ServingSimConfig
-from repro.engine import (EngineStackReport, IterationCacheEntry,
-                          IterationCacheService, IterationReuseCache,
-                          RemoteIterationCache,
-                          iteration_cache_file, iteration_signature,
-                          load_iteration_cache, save_iteration_cache)
+from repro import ClusterConfig, ClusterSimulator, LLMServingSim, ServingSimConfig
+from repro.engine import (IterationReuseCache, iteration_cache_file,
+                          iteration_signature, load_iteration_cache,
+                          save_iteration_cache)
 from repro.models import BatchComposition, Phase, SequenceSpec
 from repro.scheduler.kv_cache import KVMemoryEvent, KVMemoryEventType
 from repro.workload import Request
@@ -58,133 +54,28 @@ class TestIterationSignature:
 
 
 class TestIterationReuseCache:
-    def _entry(self, latency=1.0):
-        return IterationCacheEntry(latency=latency, engine_report=EngineStackReport())
-
     def test_lookup_store_and_stats(self):
         cache = IterationReuseCache()
         signature = ("sig",)
         assert cache.lookup(signature) is None
-        cache.store(signature, self._entry(2.5))
-        hit = cache.lookup(signature)
-        assert hit is not None and hit.latency == 2.5
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(0.5)
+        cache.store(signature, 2.5)
+        assert cache.lookup(signature) == 2.5
         assert len(cache) == 1
-
-    def test_lookup_and_store_are_thread_safe(self):
-        # Same-class replicas and the cache-service thread share one cache;
-        # a lost counter update would break the lookup total.
-        cache = IterationReuseCache()
-        signatures = [(i,) for i in range(50)]
-
-        def worker(offset):
-            for step in range(400):
-                signature = signatures[(offset + step) % len(signatures)]
-                if cache.lookup(signature) is None:
-                    cache.store(signature, self._entry(float(signature[0])))
-
-        threads = [threading.Thread(target=worker, args=(7 * k,)) for k in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert cache.stats.lookups == 8 * 400
-        assert cache.stats.misses >= len(signatures)
-        assert len(cache) == len(signatures)
-        assert all(cache.peek(s).latency == float(s[0]) for s in signatures)
-
-
-def _entry(latency=1.0):
-    return IterationCacheEntry(latency=latency, engine_report=EngineStackReport())
-
-
-class TestIterationCacheService:
-    """The master-side pipe server workers reach shared caches through."""
-
-    def run_service(self, num_clients=2):
-        cache = IterationReuseCache()
-        service = IterationCacheService({"default": cache})
-        remotes = [RemoteIterationCache(service.register("default"))
-                   for _ in range(num_clients)]
-        service.start()
-        return cache, service, remotes
-
-    def test_miss_then_hit_through_the_pipe(self):
-        cache, service, (remote, other) = self.run_service()
-        try:
-            assert remote.lookup(("sig",)) is None          # leads
-            remote.store(("sig",), _entry(4.0))
-            assert other.lookup(("sig",)).latency == 4.0    # served from master
-            assert remote.stats.misses == 1 and other.stats.hits == 1
-            assert cache.peek(("sig",)).latency == 4.0
-            assert cache.stats.misses == 1 and cache.stats.hits == 1
-        finally:
-            service.close()
-
-    def test_follower_blocks_until_leader_stores(self):
-        cache, service, (leader, follower) = self.run_service()
-        try:
-            assert leader.lookup(("sig",)) is None
-            results = []
-            thread = threading.Thread(
-                target=lambda: results.append(follower.lookup(("sig",))))
-            thread.start()
-            thread.join(timeout=0.3)
-            assert thread.is_alive(), "follower must block on the in-flight leader"
-            leader.store(("sig",), _entry(5.0))
-            thread.join(timeout=5.0)
-            assert results and results[0].latency == 5.0
-            assert cache.stats.misses == 1 and cache.stats.hits == 1
-        finally:
-            service.close()
-
-    def test_dead_leader_promotes_a_waiter(self):
-        cache, service, (leader, follower) = self.run_service()
-        try:
-            assert leader.lookup(("sig",)) is None
-            results = []
-            thread = threading.Thread(
-                target=lambda: results.append(follower.lookup(("sig",))))
-            thread.start()
-            leader.close()  # leader's process "dies" before storing
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-            assert results == [None], "the waiter must inherit leadership"
-        finally:
-            service.close()
-
-    def test_register_after_start_rejected(self):
-        cache, service, _ = self.run_service(num_clients=1)
-        try:
-            with pytest.raises(RuntimeError):
-                service.register("default")
-            with pytest.raises(ValueError):
-                IterationCacheService({"default": cache}).register("other")
-        finally:
-            service.close()
 
 
 class TestIterationCachePersistence:
     def test_save_load_roundtrip(self, tmp_path):
         config = small_config(enable_iteration_reuse=True)
         cache = IterationReuseCache()
-        cache.store(("a",), _entry(1.5))
-        cache.store(("b",), _entry(2.5))
+        cache.store(("a",), 1.5)
+        cache.store(("b",), 2.5)
         path = iteration_cache_file(tmp_path, config)
         assert path.parent == tmp_path and path.suffix == ".pkl"
         save_iteration_cache(cache, path, config)
         fresh = IterationReuseCache()
         assert load_iteration_cache(fresh, path, config) == 2
-        assert fresh.peek(("a",)).latency == 1.5
-        assert fresh.peek(("b",)).latency == 2.5
-        assert fresh.stats.lookups == 0, "warm-start must not touch counters"
+        assert fresh.lookup(("a",)) == 1.5
+        assert fresh.lookup(("b",)) == 2.5
 
     def test_distinct_configs_get_distinct_files(self, tmp_path):
         small = small_config()
@@ -195,7 +86,7 @@ class TestIterationCachePersistence:
     def test_config_mismatch_loads_nothing(self, tmp_path):
         config = small_config()
         cache = IterationReuseCache()
-        cache.store(("a",), _entry())
+        cache.store(("a",), 1.0)
         path = save_iteration_cache(cache, tmp_path / "cache.pkl", config)
         fresh = IterationReuseCache()
         assert load_iteration_cache(fresh, path, small_config(npu_num=4)) == 0
@@ -212,22 +103,41 @@ class TestIterationCachePersistence:
         wrong_schema.write_bytes(pickle.dumps({"schema": "other/v9"}))
         assert load_iteration_cache(fresh, wrong_schema, small_config()) == 0
 
-    def test_cluster_cache_dir_warm_starts_sweeps(self, tmp_path):
-        from repro import ClusterConfig, ClusterSimulator
-        from repro.workload import Request
+    def test_version_1_file_cold_starts(self, tmp_path):
+        config = small_config()
+        path = tmp_path / "v1.pkl"
+        path.write_bytes(pickle.dumps({"schema": "iteration-cache/v1",
+                                       "config": repr(config), "entries": {("a",): 1.0}}))
+        fresh = IterationReuseCache()
+        assert load_iteration_cache(fresh, path, config) == 0
+        assert len(fresh) == 0
 
+    @staticmethod
+    def cache_dir_run(cache_dir, backend):
         config = ClusterConfig(
             num_replicas=2, routing="round-robin",
             replica=small_config(enable_iteration_reuse=True),
-            cache_dir=str(tmp_path))
-        workload = lambda: [Request(i, 24, 16, arrival_time=2.0 * i)
-                            for i in range(4)]
-        cold = ClusterSimulator(config).run(workload())
-        warm = ClusterSimulator(config).run(workload())
-        assert sum(r.iteration_cache_misses for r in cold.replica_results) > 0
-        assert sum(r.iteration_cache_misses for r in warm.replica_results) == 0
+            execution_backend=backend, cache_dir=str(cache_dir))
+        result = ClusterSimulator(config).run(
+            [Request(i, 24, 16, arrival_time=2.0 * i) for i in range(4)])
+        return result, sum(r.iteration_cache_misses for r in result.replica_results)
+
+    def test_cluster_cache_dir_warm_starts_sweeps(self, tmp_path):
+        for backend in ("serial", "process-pool"):
+            cold, cold_misses = self.cache_dir_run(tmp_path / backend, backend)
+            warm, warm_misses = self.cache_dir_run(tmp_path / backend, backend)
+            assert cold_misses > 0 and warm_misses == 0, backend
+            for a, b in zip(cold.replica_results, warm.replica_results):
+                assert a.iterations == b.iterations, "warm-start changed results"
+
+    @pytest.mark.parametrize("writer, reader", [("process-pool", "serial"),
+                                                ("serial", "process-pool")])
+    def test_cache_dir_warm_starts_the_other_backend(self, tmp_path, writer, reader):
+        cold, cold_misses = self.cache_dir_run(tmp_path, writer)
+        warm, warm_misses = self.cache_dir_run(tmp_path, reader)
+        assert cold_misses > 0 and warm_misses == 0
         for a, b in zip(cold.replica_results, warm.replica_results):
-            assert a.iterations == b.iterations, "warm-start changed results"
+            assert a.iterations == b.iterations
 
 
 class TestSimulatorMemoization:
@@ -258,12 +168,6 @@ class TestSimulatorMemoization:
         result = simulator.run(steady_requests(4))
         assert simulator.simtime.iteration_cache_hits == result.iteration_cache_hits
         assert simulator.simtime.iterations == len(result.iterations)
-
-    def test_hit_flags_last_engine_report(self):
-        simulator = LLMServingSim(small_config(enable_iteration_reuse=True))
-        simulator.run(steady_requests(3))
-        # The final iterations replay request 2's decode trace from cache.
-        assert simulator.last_engine_report.served_from_iteration_cache
 
     def test_cache_shared_between_same_config_simulators(self):
         cache = IterationReuseCache()

@@ -72,11 +72,12 @@ class TestEvictReloadEndToEnd:
 
     def test_run_terminates_when_request_exceeds_budget(self):
         # A request larger than the whole KV budget can never be admitted;
-        # run() must stop instead of spinning on the stalled arrival.
+        # run() must stop instead of spinning, with the request rejected.
         sim = tiny_kv_simulator(capacity_tokens=32)
         result = sim.run([Request(0, 64, 4, arrival_time=0.0)])
         assert result.finished_requests == []
-        assert sim.has_work  # the request is still pending, but we returned
+        assert [r.request_id for r in result.rejected_requests] == [0]
+        assert not sim.has_work and result.iterations == []
 
     def test_reload_onto_a_full_page_boundary_retries_instead_of_raising(self):
         # A reload can leave no free page for a request whose tokens sit on a

@@ -9,7 +9,7 @@ from repro.scheduler import (IterationLevelScheduler, KVMemoryEventType, MaxAllo
                              SubBatchPartitioner, build_kv_manager, build_scheduler,
                              compute_kv_budget, format_batch)
 from repro.models.graph import BatchComposition, SequenceSpec
-from repro.workload import Request
+from repro.workload import Request, RequestState
 
 
 MODEL = get_model("gpt2")
@@ -520,3 +520,41 @@ class TestStaticBatchScheduler:
                 if not manager.is_evicted(request.request_id):
                     assert manager.tokens_of(request.request_id) == request.context_length
         assert len(scheduler.finished) == 2
+
+
+class TestUnfittablePrompt:
+    """A prompt that can never fit is rejected; one that only has to wait is not."""
+
+    SCHEDULERS = [IterationLevelScheduler, StaticBatchScheduler]
+
+    def test_can_ever_admit(self):
+        paged = paged_manager(capacity_tokens=64, page=16)  # 4 pages
+        assert paged.can_ever_admit(63) and not paged.can_ever_admit(64)
+        capped = MaxAllocKVCacheManager(MODEL, MODEL.kv_bytes_per_token() * 64,
+                                        max_seq_len=16)
+        assert capped.can_ever_admit(15) and not capped.can_ever_admit(16)
+        too_small = MaxAllocKVCacheManager(MODEL, MODEL.kv_bytes_per_token() * 8,
+                                           max_seq_len=16)
+        assert not too_small.can_ever_admit(1)
+
+    @pytest.mark.parametrize("scheduler_type", SCHEDULERS)
+    def test_rejects_it_and_admits_the_next(self, scheduler_type):
+        scheduler = scheduler_type(paged_manager(capacity_tokens=64, page=16))
+        requests = [Request(0, 16, 4), Request(1, 100, 4), Request(2, 16, 4)]
+        scheduler.submit(requests)
+        plan = scheduler.next_iteration()
+        assert [r.request_id for r in plan.initiation_requests] == [0, 2]
+        assert requests[1].state is RequestState.REJECTED
+        assert scheduler.pending == [] and scheduler.stats.rejected_requests == 1
+
+    @pytest.mark.parametrize("scheduler_type", SCHEDULERS)
+    def test_a_prompt_that_must_wait_keeps_blocking(self, scheduler_type):
+        # Request 1 fits an empty cache but not beside request 0, so it and
+        # the small request behind it wait: admission stays in arrival order.
+        scheduler = scheduler_type(paged_manager(capacity_tokens=64, page=16))
+        requests = [Request(0, 30, 4), Request(1, 40, 4), Request(2, 8, 4)]
+        scheduler.submit(requests)
+        plan = scheduler.next_iteration()
+        assert [r.request_id for r in plan.initiation_requests] == [0]
+        assert scheduler.pending == requests[1:]
+        assert scheduler.stats.rejected_requests == 0
