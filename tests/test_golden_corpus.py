@@ -53,6 +53,9 @@ CASES = {
     "gpt3-7b-pipeline4": (dict(model_name="gpt3-7b", npu_num=4, parallel="pipeline"), MIXED),
     "gpt3-7b-hybrid2x2": (dict(model_name="gpt3-7b", npu_num=4, npu_group=2,
                                parallel="hybrid"), MIXED),
+    "gpt3-7b-hybrid2x2-pim-local-subbatch": (dict(model_name="gpt3-7b", npu_num=4, npu_group=2,
+                                                  parallel="hybrid", pim_type="local",
+                                                  sub_batch=True), MIXED),
     "gpt2-pim-local-subbatch": (dict(model_name="gpt2", npu_num=2, npu_mem_gb=4.0,
                                      parallel="tensor", pim_type="local",
                                      sub_batch=True), MIXED),
@@ -87,6 +90,8 @@ GOLDEN = {
     "gpt2-tensor2-reload-boundary": "b0c0e93be84f18164b397627db4ec363549149dc91dd05075854c941d6345730",
     "gpt2-unfittable-prompt": "ca134872fb2f8138d2a09bb5cba2ab6e024114bb97d5820efaf14cbaac78b636",
     "gpt3-7b-hybrid2x2": "8618293b49ac050a002161f598247b0d27ac85c67f2afa97f722d2e32a87d82b",
+    "gpt3-7b-hybrid2x2-pim-local-subbatch":
+        "d3156c5f3c33cea68e18c0e2d49d294847ab8fd3395782daea6babb25581c9c8",
     "gpt3-7b-pipeline4": "0a355858dca3a2807f2af7ad7403927261616858a682879655536c2b289c9366",
     "gpt3-7b-tensor4": "9cb998298a02084dae897dee42f6ccba28f34ab9341291cbd0ae3efacd8aec70",
     "gpt3-7b-tensor4-block": "f1559dd1e2a462dea420e515a85331ed8bdfb6ae39d4a30d35a6baf6149da67b",
