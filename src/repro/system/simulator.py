@@ -26,20 +26,29 @@ node gets a device first, so every simulated time depends on them:
 
 Copies of a template block (:meth:`ExecutionGraph.repeat`) are replayed as
 straight-line code where that is provably what the heap would do.  Call a
-pop *quiescent* when, once it is taken, the heap is empty, no multi-device
-node waits, no node is queued and the popped node's devices are still
-marked busy, so that the replay's whole state is known.  When the pops of a
-template's entry (the node just before it) and exit (its last node) are
-both quiescent, the heap replay of the template is recorded: each node's
-*trigger* (the node whose pop dispatched it), its push sequence relative to
-the entry, and the pop order.  Each copy is then evaluated in that pop
-order as ``start[n] = end[trigger[n]]`` and ``end[n] = start[n] +
-duration[n]``, and accepted only if its ``(end, relative sequence)`` keys
-strictly increase along the order: then the heap would pop the same
-sequence, so every dispatch decision and every float operation is the same.
-A copy whose entry is not quiescent, or whose keys are out of order (a
-near-tie that rounds the other way), is replayed by the heap from its
-entry; the next copy is tried again.
+pop *settled* when, once it is taken, the heap is empty, no node is queued,
+the popped node's devices are still marked busy and every waiting
+multi-device node belongs to a template or one of its copies.  The
+replay's whole state is then the popped node plus the waiting nodes, in
+the order they started waiting, with their busy counts.  A *window* of a
+template runs from the pop of one copy's entry (the node just before it)
+to the pop of that copy's exit (its last node); its pops may include nodes
+of other templates' copies, such as a second sub-batch chain that shares
+the devices.  When both ends of a window are settled and every node it
+pops belongs to a template or a copy, its heap replay is recorded: each
+node's *trigger* (the pop that dispatched it), its push sequence relative
+to the entry, the pop order and the waiting sets at both ends.  A later
+window, whose nodes are the recorded ones shifted by the same number of
+copies in every template involved, is evaluated in that pop order as
+``start[n] = end[trigger[n]]`` and ``end[n] = start[n] + duration[n]``,
+and accepted only if its entry's waiting set (with the busy counts) is the
+recorded one shifted the same way and its ``(end, relative sequence)``
+keys strictly increase along the order: then the heap would pop the same
+sequence, so every dispatch decision and every float operation is the
+same.  Otherwise the heap resumes from the window's entry; when accepted
+windows came before, the waiting nodes and the dependency counts of every
+partly run copy are restored first.  With one sub-batch chain the waiting
+sets are empty.
 
 The output is the iteration's end-to-end latency (makespan) plus per-device
 utilization and a communication/computation breakdown — the statistics the
@@ -81,10 +90,11 @@ class NodeTiming:
 class SystemSimulationResult:
     """Outcome of simulating one execution graph.
 
-    The replay records each node's end, the start of each node the heap
-    dispatched, the order the heap popped nodes in, and where accepted
-    copies of a template finished; the completion order, the copies'
-    starts and everything else are derived from those on first access.
+    The replay records each node's end and start where the heap popped it,
+    the order the heap popped nodes in, and the end times of each window it
+    evaluated as straight-line code; the completion order, those windows'
+    starts and ends per node and everything else are derived from them on
+    first access.
 
     Attributes
     ----------
@@ -92,9 +102,10 @@ class SystemSimulationResult:
         End-to-end latency of the graph in seconds.
     num_events:
         Number of node completions processed (one per node, copies included).
-    accepted_copies / heap_replayed_copies:
-        Copies of template blocks evaluated as straight-line code, and
-        copies the heap replayed instead.
+    accepted_windows / accepted_nodes:
+        Windows evaluated as straight-line code, and the nodes they covered.
+    heap_replayed_windows:
+        Copies whose entry the heap popped and whose window it replayed.
     compute_time:
         Total device-seconds spent in compute nodes.
     comm_time:
@@ -110,34 +121,38 @@ class SystemSimulationResult:
     def __init__(self, graph: ExecutionGraph, start_time: float = 0.0,
                  order: Sequence[int] = (), starts: Sequence[float] = (),
                  ends: Sequence[float] = (), makespan: float = 0.0,
-                 copies: Sequence[Tuple[int, int, "_Recording"]] = (),
-                 heap_replayed_copies: int = 0) -> None:
+                 windows: Sequence[Tuple[int, "_Recording", int, List[float]]] = (),
+                 heap_replayed_windows: int = 0) -> None:
         self.makespan = makespan
-        self.num_events = len(order) + sum(len(recording.steps) for _, _, recording in copies)
-        self.accepted_copies = len(copies)
-        self.heap_replayed_copies = heap_replayed_copies
+        self.accepted_windows = len(windows)
+        self.accepted_nodes = sum(len(program.nodes) for _, program, _, _ in windows)
+        self.num_events = len(order) + self.accepted_nodes
+        self.heap_replayed_windows = heap_replayed_windows
         self._graph = graph
         self._start_time = start_time
         self._heap_order = order
         self._starts = starts
         self._ends = ends
-        #: ``(position in the heap order, first node, recording)`` per accepted copy.
-        self._copies = copies
+        #: ``(position in the heap order, recording, shift, end times)`` per
+        #: accepted window (see :meth:`_Recording.evaluate`).
+        self._windows = windows
 
     @cached_property
     def _order(self) -> List[int]:
-        """Every node in completion order; also fills in the accepted copies' starts."""
-        if not self._copies:
+        """Every node in completion order; also fills in the windows' starts and ends."""
+        if not self._windows:
             return list(self._heap_order)
         order: List[int] = []
         starts, ends, heap_order = self._starts, self._ends, self._heap_order
         done = 0
-        for position, base, recording in self._copies:
+        for position, program, shift, window_ends in self._windows:
             order.extend(heap_order[done:position])
             done = position
-            order.extend([base + node for node in recording.pop_order])
-            for node, trigger in enumerate(recording.triggers):
-                starts[base + node] = ends[base + trigger]
+            nodes = program.shifted(shift)
+            order.extend(nodes)
+            for index, (node, trigger) in enumerate(zip(nodes, program.triggers), start=1):
+                starts[node] = window_ends[trigger]
+                ends[node] = window_ends[index]
         order.extend(heap_order[done:])
         return order
 
@@ -203,51 +218,6 @@ class SystemSimulationResult:
         return sum(busy) / (len(busy) * self.makespan)
 
 
-class _Recording:
-    """A straight-line program learnt from one quiescent heap replay of a copy.
-
-    ``steps`` holds one ``(node + 1, trigger + 1, duration, later)`` per node
-    in pop order, with node and trigger relative to the copy (trigger ``-1``
-    is the copy's entry) and ``later`` telling whether the node was pushed
-    after the node popped before it.
-    """
-
-    def __init__(self, nodes: Sequence[int], pops: Sequence[Tuple[int, int]],
-                 entry_sequence: int, base: int, durations: Sequence[float]) -> None:
-        """Learn from one heap replay of the copy whose first node is ``base``.
-
-        ``nodes`` are the copy's nodes in pop order; ``pops`` holds per pop
-        the node's push sequence and the sequence counter when it was
-        popped; ``entry_sequence`` is the counter at the entry's pop.  A
-        node was dispatched by the last pop at or below its push sequence.
-        """
-        counters = [entry_sequence] + [counter for _, counter in pops]
-        self.steps: List[Tuple[int, int, float, bool]] = []
-        #: Relative nodes in pop order, and per relative node its trigger.
-        self.pop_order = [node - base for node in nodes]
-        self.triggers = [0] * len(nodes)
-        previous = -1
-        for node, (pushed, _) in zip(nodes, pops):
-            popped_before = bisect_right(counters, pushed) - 1
-            trigger = nodes[popped_before - 1] - base if popped_before else -1
-            self.steps.append((node - base + 1, trigger + 1, durations[node], pushed > previous))
-            self.triggers[node - base] = trigger
-            previous = pushed
-        self._ends = [0.0] * (len(nodes) + 1)
-
-    def evaluate(self, entry_end: float) -> Optional[List[float]]:
-        """A copy's end times (index 0 is its entry's), or None if its pop order differs."""
-        ends = self._ends
-        ends[0] = last = entry_end
-        for node, trigger, duration, later in self.steps:
-            end = ends[trigger] + duration
-            if end <= last and (end < last or not later):
-                return None
-            ends[node] = end
-            last = end
-        return ends
-
-
 class _Template:
     """Replay state of one template and its copies (see the module docstring).
 
@@ -259,29 +229,120 @@ class _Template:
         self.start = start
         self.size = size
         self.copies = copies
-        #: The latest quiescent heap replay of the template or a copy.
+        #: One past the last copy's last node.
+        self.end = start + (copies + 1) * size
+        #: The latest recorded heap replay of one of this template's windows.
         self.recording: Optional[_Recording] = None
         #: Per relative node ``-1..size-1`` (index + 1), the relative nodes
-        #: that depend on it; built when a copy is first handed to the heap.
+        #: that depend on it, and per relative node its dependencies inside
+        #: the template; built when a copy is first handed to the heap.
         self._children: Optional[List[List[int]]] = None
+        self._inner_deps: List[Tuple[int, ...]] = []
         self._remaining: List[int] = []
 
-    def prepare_heap_copy(self, base: int, deps: Sequence[Tuple[int, ...]],
-                          remaining: List[int], dependents: List[Sequence[int]]) -> None:
-        """Give the heap copy ``base``'s dependency counts and dependents."""
-        size = self.size
+    def _structure(self, deps: Sequence[Tuple[int, ...]]) -> None:
         if self._children is None:
-            start = self.start
+            start, size = self.start, self.size
             children: List[List[int]] = [[] for _ in range(size + 1)]
             for node in range(size):
                 for dep in deps[start + node]:
                     children[dep - start + 1].append(node)
             self._children = children
+            self._inner_deps = [tuple(dep - start for dep in deps[start + node] if dep >= start)
+                                for node in range(size)]
             self._remaining = [len(deps[start + node]) for node in range(size)]
-        remaining[base:base + size] = self._remaining
+
+    def _give_dependents(self, base: int, dependents: List[Sequence[int]]) -> None:
         for node, nodes in enumerate(self._children, start=base - 1):
             if nodes:
                 dependents[node] = [base + child for child in nodes]
+
+    def prepare_heap_copy(self, copy: int, deps: Sequence[Tuple[int, ...]],
+                          remaining: List[int], dependents: List[Sequence[int]]) -> None:
+        """Give the heap copy ``copy``'s dependency counts and dependents as its entry pops."""
+        self._structure(deps)
+        base = self.start + copy * self.size
+        remaining[base:base + self.size] = self._remaining
+        self._give_dependents(base, dependents)
+
+    def restore_heap_copy(self, copy: int, waiting: Sequence[int],
+                          deps: Sequence[Tuple[int, ...]], remaining: List[int],
+                          dependents: List[Sequence[int]]) -> None:
+        """Hand the heap the rest of copy ``copy``, partly run as straight-line code.
+
+        ``waiting`` are the copy's waiting nodes, relative to the copy.  Its
+        unfinished nodes are those and the nodes that depend on them inside
+        the copy; each of the latter counts its unfinished dependencies.
+        """
+        self._structure(deps)
+        base = self.start + copy * self.size
+        unfinished = [False] * self.size
+        for node in waiting:
+            unfinished[node] = True
+        inner_deps = self._inner_deps
+        for node in range(min(waiting) + 1, self.size):
+            if not unfinished[node]:
+                count = sum(unfinished[dep] for dep in inner_deps[node])
+                if count:
+                    unfinished[node] = True
+                    remaining[base + node] = count
+        if copy:
+            self._give_dependents(base, dependents)
+
+
+class _Recording:
+    """A straight-line program learnt from one settled heap replay of a window.
+
+    ``steps`` holds one ``(i, trigger, duration, later)`` per pop, the
+    ``i``-th, with ``trigger`` the position of the pop that dispatched the
+    node (``0`` is the window's entry) and ``later`` telling
+    whether the node was pushed after the node popped before it.  The window
+    ``shift`` copies later pops node ``nodes[i] + shift * sizes[i]``, where
+    ``sizes[i]`` is the size of the template that node belongs to.
+    """
+
+    def __init__(self, copy: int, nodes: List[int], sizes: List[int], reach: int,
+                 pops: Sequence[Tuple[int, int]], entry_sequence: int,
+                 durations: Sequence[float], waiting: List[Tuple[int, int, int]],
+                 exit_waiting: List[Tuple[int, int, int]]) -> None:
+        #: The anchor template's copy whose window this is.
+        self.copy = copy
+        self.nodes = nodes
+        self.sizes = sizes
+        #: The largest shift at which every node stays inside its template's copies.
+        self.reach = reach
+        #: ``(node, template size, busy count)`` per node waiting at the
+        #: entry and at the exit, in the order they started waiting.
+        self.waiting = waiting
+        self.exit_waiting = exit_waiting
+        #: Whether each window's exit state is the next window's entry state.
+        self.periodic = _shifted(exit_waiting, 0) == _shifted(waiting, 1)
+        counters = [entry_sequence] + [counter for _, counter in pops]
+        self.steps: List[Tuple[int, int, float, bool]] = []
+        self.triggers: List[int] = []
+        previous = -1
+        for index, (node, (pushed, _)) in enumerate(zip(nodes, pops), start=1):
+            # A node was dispatched by the last pop at or below its push sequence.
+            trigger = bisect_right(counters, pushed) - 1
+            self.steps.append((index, trigger, durations[node], pushed > previous))
+            self.triggers.append(trigger)
+            previous = pushed
+
+    def shifted(self, shift: int) -> List[int]:
+        """The nodes the window ``shift`` copies later pops, in pop order."""
+        return [node + shift * size for node, size in zip(self.nodes, self.sizes)]
+
+    def evaluate(self, entry_end: float) -> Optional[List[float]]:
+        """A window's end times in pop order (index 0 is its entry's); None if the order differs."""
+        ends = [entry_end] * (len(self.steps) + 1)
+        last = entry_end
+        for index, trigger, duration, later in self.steps:
+            end = ends[trigger] + duration
+            if end <= last and (end < last or not later):
+                return None
+            ends[index] = end
+            last = end
+        return ends
 
 
 class SystemSimulator:
@@ -325,11 +386,11 @@ class SystemSimulator:
                         dependents[dep] = [node_id]
         # Entry node of copy k of a template -> (template, k); k = 0 is the
         # template itself.
+        templates = [_Template(start, size, copies) for start, size, copies in graph.repeats]
         entries: Dict[int, Tuple[_Template, int]] = {}
-        for start, size, copies in graph.repeats:
-            template = _Template(start, size, copies)
-            for copy in range(copies + 1):
-                entries[start + copy * size - 1] = (template, copy)
+        for template in templates:
+            for copy in range(template.copies + 1):
+                entries[template.start + copy * template.size - 1] = (template, copy)
 
         placements = {devices for first, last in originals for devices in occupied[first:last]}
         busy: Dict[int, bool] = dict.fromkeys(
@@ -348,15 +409,15 @@ class SystemSimulator:
         push, pop = heapq.heappush, heapq.heappop
         sequence = 0
         now = 0.0
-        # Accepted copies as (position in ``order``, first node, recording),
-        # and the count of copies the heap replayed.
-        accepted: List[Tuple[int, int, _Recording]] = []
-        heap_copies = 0
-        # The copy whose heap replay is being recorded: its template, copy
-        # number, entry sequence counter and position in ``order``; and per
-        # pop since its entry, the popped node's push sequence and the
-        # counter at the pop.
-        recording: Optional[Tuple[_Template, int, int, int]] = None
+        # Accepted windows as (position in ``order``, recording, shift, end
+        # times), and the count of windows the heap replayed.
+        accepted: List[Tuple[int, _Recording, int, List[float]]] = []
+        heap_windows = 0
+        # The window whose heap replay is being recorded: its template, copy
+        # number, entry sequence counter, position in ``order`` and waiting
+        # set at the entry; and per pop since its entry, the popped node's
+        # push sequence and the counter at the pop.
+        recording: Optional[Tuple[_Template, int, int, int, List[Tuple[int, int, int]]]] = None
         pops: Optional[List[Tuple[int, int]]] = None
 
         # Nodes with no dependencies become ready at time zero, in id order;
@@ -431,45 +492,60 @@ class SystemSimulator:
                 pops.append((pushed, sequence))
             if node_id in entries:
                 template, copy = entries[node_id]
-                # Nothing else in flight, and the popped node's devices still
-                # marked busy (a node that lists a device twice frees it twice).
-                quiescent = (not heap and not waiting and not any(ready.values())
+                # Nothing else in flight but waiting copy nodes, and the
+                # popped node's devices still marked busy (a node that lists
+                # a device twice frees it twice).
+                state = (_copy_waiting(templates, waiting)
+                         if (not heap and not any(ready.values())
                              and all(busy[device] for device in occupied[node_id]))
-                if recording is not None:
-                    # This pop ends the recorded copy if it is that copy's
-                    # exit, quiescent, and the copy's nodes were all it popped.
-                    recorded, recorded_copy, entry_sequence, position = recording
-                    base = recorded.start + recorded_copy * recorded.size
-                    nodes = order[position:]
-                    if (recorded is template and recorded_copy == copy - 1 and quiescent
-                            and len(nodes) == template.size
-                            and all(base <= node < base + template.size for node in nodes)):
-                        template.recording = _Recording(nodes, pops, entry_sequence, base,
-                                                        durations)
+                         else None)
+                if recording is not None and recording[0] is template:
+                    # This pop ends the recorded window if it is the window's
+                    # exit and settled.
+                    _, recorded_copy, entry_sequence, position, entry_state = recording
+                    if state is not None and copy == recorded_copy + 1:
+                        program = _learn(templates, template, recorded_copy, order[position:],
+                                         pops, entry_sequence, durations, entry_state, state)
+                        if program is not None:
+                            template.recording = program
                     recording = pops = None
-                size = template.size
-                while 0 < copy <= template.copies:
-                    # The pop of ``node_id`` is copy ``copy``'s entry.
-                    base = template.start + copy * size
-                    program = template.recording
-                    copy_ends = (program.evaluate(now)
-                                 if quiescent and program is not None else None)
-                    if copy_ends is None:
-                        heap_copies += 1
-                        template.prepare_heap_copy(base, deps_of, remaining, dependents)
-                        break
-                    ends[base:base + size] = copy_ends[1:]
-                    accepted.append((len(order), base, program))
-                    sequence += size
-                    node_id = base + size - 1
-                    now = ends[node_id]
-                    copy += 1
-                # Record a heap replay of the template (unless its entry and
-                # exit occupy different devices) or of a copy, for the copies
+                program = template.recording
+                if state is not None and copy and program is not None:
+                    shift = copy - program.copy
+                    if (shift <= program.reach
+                            and _shifted(state, 0) == _shifted(program.waiting, shift)):
+                        first = len(accepted)
+                        while True:
+                            window_ends = program.evaluate(now)
+                            if window_ends is None:
+                                break
+                            accepted.append((len(order), program, shift, window_ends))
+                            sequence += len(program.steps)
+                            now = window_ends[-1]
+                            copy += 1
+                            if not (program.periodic and shift < program.reach):
+                                break
+                            shift += 1
+                        if len(accepted) > first:
+                            # The replay now stands at the settled pop of the
+                            # last accepted window's exit.
+                            recording = pops = None
+                            node_id = template.start + copy * template.size - 1
+                            shift = accepted[-1][2]
+                            state = [(node + shift * size, size, count)
+                                     for node, size, count in program.exit_waiting]
+                            if state or waiting:
+                                _restore(templates, state, waiting, waiters, occupied,
+                                         deps_of, remaining, dependents)
+                if 0 < copy <= template.copies:
+                    heap_windows += 1
+                    template.prepare_heap_copy(copy, deps_of, remaining, dependents)
+                # Record the heap replay of this window (unless the template's
+                # entry and exit occupy different devices), for the windows
                 # after it.
-                if (quiescent and copy < template.copies
-                        and (copy or occupied[node_id] == occupied[node_id + size])):
-                    recording = (template, copy, sequence, len(order))
+                if (state is not None and recording is None and copy < template.copies
+                        and (copy or occupied[node_id] == occupied[node_id + template.size])):
+                    recording = (template, copy, sequence, len(order), state)
                     pops = []
             released = []
             for child in dependents[node_id]:
@@ -479,7 +555,7 @@ class SystemSimulator:
             freed = occupied[node_id]
 
         result = SystemSimulationResult(graph, start_time, order, starts, ends, makespan=now,
-                                        copies=accepted, heap_replayed_copies=heap_copies)
+                                        windows=accepted, heap_replayed_windows=heap_windows)
         if result.num_events != num_nodes:
             missing = num_nodes - result.num_events
             raise RuntimeError(f"system simulation deadlocked with {missing} unfinished nodes")
@@ -516,6 +592,92 @@ class SystemSimulator:
             durations[start + size:start + (copies + 1) * size] = (
                 durations[start:start + size] * copies)
         return durations
+
+
+def _locate(templates: Sequence[_Template], node: int) -> Optional[Tuple[_Template, int, int]]:
+    """The template, copy and position of a template or copy node; None for other nodes."""
+    for template in templates:
+        if template.start <= node < template.end:
+            copy, position = divmod(node - template.start, template.size)
+            return template, copy, position
+    return None
+
+
+def _copy_waiting(templates: Sequence[_Template], waiting: Dict[int, int]
+                  ) -> Optional[List[Tuple[int, int, int]]]:
+    """``(node, template size, busy count)`` per waiting node; None if one is outside every copy."""
+    state: List[Tuple[int, int, int]] = []
+    for node, count in waiting.items():
+        place = _locate(templates, node)
+        if place is None:
+            return None
+        state.append((node, place[0].size, count))
+    return state
+
+
+def _shifted(state: Sequence[Tuple[int, int, int]], shift: int) -> List[Tuple[int, int]]:
+    """Waiting nodes and busy counts ``shift`` copies later."""
+    return [(node + shift * size, count) for node, size, count in state]
+
+
+def _learn(templates: Sequence[_Template], template: _Template, copy: int, nodes: List[int],
+           pops: Sequence[Tuple[int, int]], entry_sequence: int, durations: Sequence[float],
+           waiting: List[Tuple[int, int, int]], exit_waiting: List[Tuple[int, int, int]]
+           ) -> Optional[_Recording]:
+    """Record the heap replay of ``template``'s window ``copy``, if later windows can use it.
+
+    Every popped and waiting node must belong to a template or a copy.  A
+    window ``shift`` copies later must keep each of them inside its
+    template's copies, and each exit it pops before its own exit (whose
+    dependents the next copy of that template holds) before the last copy's.
+    """
+    reach = template.copies - copy
+    base = template.start + copy * template.size
+    if base <= min(nodes) and max(nodes) < base + template.size:
+        # Only the copy's own nodes, the exit last.
+        sizes = [template.size] * len(nodes)
+    else:
+        sizes = []
+        exit_node = nodes[-1]
+        for node in nodes:
+            place = _locate(templates, node)
+            if place is None:
+                return None
+            owner, owner_copy, position = place
+            sizes.append(owner.size)
+            reach = min(reach, owner.copies - owner_copy
+                        - (position == owner.size - 1 and node != exit_node))
+    for node, size, _ in waiting + exit_waiting:
+        owner, owner_copy, _ = _locate(templates, node)
+        reach = min(reach, owner.copies - owner_copy)
+    if reach < 1:
+        return None
+    return _Recording(copy, nodes, sizes, reach, pops, entry_sequence, durations, waiting,
+                      exit_waiting)
+
+
+def _restore(templates: Sequence[_Template], state: Sequence[Tuple[int, int, int]],
+             waiting: Dict[int, int], waiters: Dict[int, List[int]],
+             occupied: Sequence[Tuple[int, ...]], deps: Sequence[Tuple[int, ...]],
+             remaining: List[int], dependents: List[Sequence[int]]) -> None:
+    """Give the heap the state after accepted windows: ``state`` waits, in that order.
+
+    Rebuilds the waiting nodes with their busy counts, the per-device
+    waiter lists, and the dependency counts and dependents of every copy
+    the windows left partly run: the copies that hold a waiting node.
+    """
+    waiting.clear()
+    for device_waiters in waiters.values():
+        device_waiters.clear()
+    partly_run: Dict[Tuple[_Template, int], List[int]] = {}
+    for node, _, count in state:
+        waiting[node] = count
+        for device in occupied[node]:
+            waiters[device].append(node)
+        owner, copy, position = _locate(templates, node)
+        partly_run.setdefault((owner, copy), []).append(position)
+    for (owner, copy), positions in partly_run.items():
+        owner.restore_heap_copy(copy, positions, deps, remaining, dependents)
 
 
 def _originals(graph: ExecutionGraph) -> List[Tuple[int, int]]:

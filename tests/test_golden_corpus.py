@@ -11,6 +11,8 @@ A change that keeps simulated behaviour bit-identical keeps every value
 here.  ``gpt2-tensor2-near-tie`` is a run on which the system simulator
 replays one copy of a template block with its heap instead of as
 straight-line code; its value was computed before block templates existed.
+``gpt3-7b-hybrid2x2-pim-local-subbatch`` runs two sub-batch chains over
+shared NPUs; its value was computed before their blocks were templated.
 Print the current values with ``PYTHONPATH=src python
 tests/test_golden_corpus.py``.
 """
@@ -143,14 +145,30 @@ def test_near_tie_case_replays_a_copy_with_the_heap(monkeypatch):
 
     def counting(self, graph, start_time=0.0):
         result = simulate(self, graph, start_time)
-        counts["accepted"] += result.accepted_copies
-        counts["heap"] += result.heap_replayed_copies
+        counts["accepted"] += result.accepted_windows
+        counts["heap"] += result.heap_replayed_windows
         return result
 
     monkeypatch.setattr(SystemSimulator, "simulate", counting)
     run_case("gpt2-tensor2-near-tie")
     assert counts["heap"] >= 1
     assert counts["accepted"] > 100 * counts["heap"]
+
+
+def test_sub_batch_case_replays_most_nodes_as_straight_line_code(monkeypatch):
+    """On two sub-batch chains over shared NPUs, accepted windows cover most nodes."""
+    nodes = {"windows": 0, "heap": 0}
+    simulate = SystemSimulator.simulate
+
+    def counting(self, graph, start_time=0.0):
+        result = simulate(self, graph, start_time)
+        nodes["windows"] += result.accepted_nodes
+        nodes["heap"] += result.num_events - result.accepted_nodes
+        return result
+
+    monkeypatch.setattr(SystemSimulator, "simulate", counting)
+    run_case("gpt3-7b-hybrid2x2-pim-local-subbatch")
+    assert nodes["windows"] > nodes["heap"]
 
 
 if __name__ == "__main__":
