@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
@@ -237,6 +236,8 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "process-pool"
 
     def __init__(self, start_method: Optional[str] = None) -> None:
+        import multiprocessing
+
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"

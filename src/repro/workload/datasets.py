@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 __all__ = ["DatasetProfile", "DATASET_PROFILES", "LengthSampler", "get_profile"]
 
 
@@ -87,10 +85,14 @@ class LengthSampler:
     """
 
     def __init__(self, profile: DatasetProfile, seed: int = 0) -> None:
+        import numpy as np
+
         self.profile = profile
         self._rng = np.random.default_rng(seed)
 
     def _sample_lognormal(self, mean: float, sigma: float) -> int:
+        import numpy as np
+
         # Choose mu so that the log-normal's mean equals the target mean.
         mu = np.log(mean) - 0.5 * sigma * sigma
         value = self._rng.lognormal(mean=mu, sigma=sigma)

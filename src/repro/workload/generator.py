@@ -16,14 +16,19 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from .datasets import DatasetProfile, LengthSampler, get_profile
 from .request import Request
 
 __all__ = ["RequestTrace", "PoissonArrivalGenerator", "BurstArrivalGenerator",
            "PoissonBurstArrivalGenerator", "DiurnalArrivalGenerator",
            "available_arrivals", "generate_trace"]
+
+
+def _default_rng(seed: int):
+    """A seeded numpy generator; numpy is imported on first use, not at start-up."""
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 @dataclass
@@ -78,7 +83,7 @@ class PoissonArrivalGenerator:
             raise ValueError("rate_per_second must be positive")
         self.profile: DatasetProfile = get_profile(dataset)
         self.rate_per_second = rate_per_second
-        self._rng = np.random.default_rng(seed)
+        self._rng = _default_rng(seed)
         self._lengths = LengthSampler(self.profile, seed=seed + 1)
 
     def generate(self, num_requests: int) -> RequestTrace:
@@ -86,7 +91,7 @@ class PoissonArrivalGenerator:
         if num_requests <= 0:
             raise ValueError("num_requests must be positive")
         inter_arrivals = self._rng.exponential(1.0 / self.rate_per_second, size=num_requests)
-        arrival_times = np.cumsum(inter_arrivals)
+        arrival_times = inter_arrivals.cumsum()
         requests = []
         for i, arrival in enumerate(arrival_times):
             input_tokens, output_tokens = self._lengths.sample()
@@ -156,7 +161,7 @@ class PoissonBurstArrivalGenerator:
         self.profile: DatasetProfile = get_profile(dataset)
         self.rate_per_second = rate_per_second
         self.burst_size_mean = burst_size_mean
-        self._rng = np.random.default_rng(seed)
+        self._rng = _default_rng(seed)
         self._lengths = LengthSampler(self.profile, seed=seed + 1)
 
     def generate(self, num_requests: int) -> RequestTrace:
@@ -209,7 +214,7 @@ class DiurnalArrivalGenerator:
         self.rate_per_second = rate_per_second
         self.amplitude = amplitude
         self.period_seconds = period_seconds
-        self._rng = np.random.default_rng(seed)
+        self._rng = _default_rng(seed)
         self._lengths = LengthSampler(self.profile, seed=seed + 1)
 
     def rate_at(self, time: float) -> float:

@@ -35,8 +35,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .generator import RequestTrace
 from .request import Request
 from .trace_io import read_trace
@@ -283,6 +281,8 @@ class TraceReplayArrivalGenerator:
             rows = [row for row in rows if start <= row[2] < end]
             offset = start
         if self.sample < 1.0 and rows:
+            import numpy as np
+
             rng = np.random.default_rng(self.seed)
             keep = max(1, int(len(rows) * self.sample))
             indices = np.sort(rng.choice(len(rows), size=keep, replace=False))
