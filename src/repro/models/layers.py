@@ -54,6 +54,11 @@ class OpType(enum.Enum):
     MEM_LOAD = "mem_load"
     MEM_STORE = "mem_store"
 
+    # Members are singletons compared by identity, so hash them by identity
+    # too: the engine stack keys dicts and sets by them and by operator
+    # signatures that hold them, and Enum's own __hash__ runs in Python.
+    __hash__ = object.__hash__
+
 
 class Phase(enum.Enum):
     """Inference phase an operator belongs to.
@@ -65,6 +70,8 @@ class Phase(enum.Enum):
 
     INITIATION = "initiation"
     GENERATION = "generation"
+
+    __hash__ = object.__hash__  # see OpType
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ class DeviceType(enum.Enum):
     GPU = "gpu"
     HOST = "host"
 
+    __hash__ = object.__hash__  # see repro.models.layers.OpType
+
 
 class PIMMode(enum.Enum):
     """How PIM capability is provisioned in the system (the ``pim_type`` knob)."""
