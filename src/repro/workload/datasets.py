@@ -89,20 +89,19 @@ class LengthSampler:
 
         self.profile = profile
         self._rng = np.random.default_rng(seed)
+        # Choose each mu so that the log-normal's mean equals the target mean.
+        sigma_in, sigma_out = profile.sigma_input, profile.sigma_output
+        self._input_mu = np.log(profile.mean_input_tokens) - 0.5 * sigma_in * sigma_in
+        self._output_mu = np.log(profile.mean_output_tokens) - 0.5 * sigma_out * sigma_out
 
-    def _sample_lognormal(self, mean: float, sigma: float) -> int:
-        import numpy as np
-
-        # Choose mu so that the log-normal's mean equals the target mean.
-        mu = np.log(mean) - 0.5 * sigma * sigma
+    def _sample_lognormal(self, mu: float, sigma: float) -> int:
         value = self._rng.lognormal(mean=mu, sigma=sigma)
-        clamped = int(np.clip(round(value), self.profile.min_tokens, self.profile.max_tokens))
-        return clamped
+        return int(min(max(round(value), self.profile.min_tokens), self.profile.max_tokens))
 
     def sample(self) -> Tuple[int, int]:
         """Draw one (prompt length, response length) pair."""
-        input_tokens = self._sample_lognormal(self.profile.mean_input_tokens, self.profile.sigma_input)
-        output_tokens = self._sample_lognormal(self.profile.mean_output_tokens, self.profile.sigma_output)
+        input_tokens = self._sample_lognormal(self._input_mu, self.profile.sigma_input)
+        output_tokens = self._sample_lognormal(self._output_mu, self.profile.sigma_output)
         return input_tokens, output_tokens
 
     def sample_many(self, count: int) -> List[Tuple[int, int]]:

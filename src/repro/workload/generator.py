@@ -24,13 +24,6 @@ __all__ = ["RequestTrace", "PoissonArrivalGenerator", "BurstArrivalGenerator",
            "available_arrivals", "generate_trace"]
 
 
-def _default_rng(seed: int):
-    """A seeded numpy generator; numpy is imported on first use, not at start-up."""
-    import numpy as np
-
-    return np.random.default_rng(seed)
-
-
 @dataclass
 class RequestTrace:
     """An ordered list of requests plus the metadata used to create it."""
@@ -79,11 +72,13 @@ class PoissonArrivalGenerator:
     """
 
     def __init__(self, dataset: str = "sharegpt", rate_per_second: float = 1.0, seed: int = 0) -> None:
+        import numpy as np
+
         if rate_per_second <= 0:
             raise ValueError("rate_per_second must be positive")
         self.profile: DatasetProfile = get_profile(dataset)
         self.rate_per_second = rate_per_second
-        self._rng = _default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self._lengths = LengthSampler(self.profile, seed=seed + 1)
 
     def generate(self, num_requests: int) -> RequestTrace:
@@ -154,6 +149,8 @@ class PoissonBurstArrivalGenerator:
 
     def __init__(self, dataset: str = "sharegpt", rate_per_second: float = 1.0,
                  burst_size_mean: float = 4.0, seed: int = 0) -> None:
+        import numpy as np
+
         if rate_per_second <= 0:
             raise ValueError("rate_per_second must be positive")
         if burst_size_mean < 1:
@@ -161,7 +158,7 @@ class PoissonBurstArrivalGenerator:
         self.profile: DatasetProfile = get_profile(dataset)
         self.rate_per_second = rate_per_second
         self.burst_size_mean = burst_size_mean
-        self._rng = _default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self._lengths = LengthSampler(self.profile, seed=seed + 1)
 
     def generate(self, num_requests: int) -> RequestTrace:
@@ -204,6 +201,8 @@ class DiurnalArrivalGenerator:
     def __init__(self, dataset: str = "sharegpt", rate_per_second: float = 1.0,
                  amplitude: float = 0.8, period_seconds: float = 240.0,
                  seed: int = 0) -> None:
+        import numpy as np
+
         if rate_per_second <= 0:
             raise ValueError("rate_per_second must be positive")
         if not 0 <= amplitude < 1:
@@ -214,7 +213,7 @@ class DiurnalArrivalGenerator:
         self.rate_per_second = rate_per_second
         self.amplitude = amplitude
         self.period_seconds = period_seconds
-        self._rng = _default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self._lengths = LengthSampler(self.profile, seed=seed + 1)
 
     def rate_at(self, time: float) -> float:

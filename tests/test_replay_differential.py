@@ -436,6 +436,24 @@ def test_window_entered_with_another_busy_count_is_replayed_by_the_heap():
     assert (result.accepted_windows, result.heap_replayed_windows) == (6, 4)
 
 
+def test_window_whose_exit_state_differs_from_its_entry_is_not_chained():
+    """The lagging chain's entries cycle through three states: the other
+    chain's all-reduce over two devices waits with two busy, then its
+    all-reduce over three devices waits with three, then the entry is not
+    settled.  The first window is recorded, and no later one is, since each
+    ends unsettled; the recording is accepted at every third entry.  Its exit
+    state is not its entry state one copy on, so each accepted window is
+    evaluated alone, never chained into the next."""
+    block = [("compute", (1,), 0.1, (-1,)), ("compute", (2,), 0.3, (-1,)),
+             ("collective", (1, 2), 64e6, (-1, 0)), ("compute", (3,), 0.2, (1, 2)),
+             ("collective", (1, 2, 3), 64e6, (3,))]
+    result = assert_replay_matches_reference(chains_of_blocks([block, block], copies=12,
+                                                              lag=True))
+    assert (result.accepted_windows, result.heap_replayed_windows) == (3, 18)
+    assert [shift for _, _, shift, _ in result._windows] == [3, 6, 9]
+    assert not any(program.periodic for _, program, _, _ in result._windows)
+
+
 def test_replay_matches_reference_on_converted_iterations():
     """Every graph of short runs with sub-batch and PIM-pool contention.
 
