@@ -4,11 +4,13 @@
 verbatim.  On random DAGs that contend for devices (compute on shared
 devices, collectives over overlapping device sets, device-link and pool
 P2P, memory transfers, zero durations, fan-outs), on random graphs built
-from repeated blocks, and on graphs the converter builds for real serving
-iterations, the replay must reproduce the reference's makespan, event
-count, statistics and every node's start and end exactly, compared with
-``==``.  The replay runs first, so copies of template blocks are replayed
-before anything builds their dependencies.
+from repeated blocks, on random sub-batch chains of such blocks, on one
+small graph per acceptance check of the straight-line replay, and on
+graphs the converter builds for real serving iterations, the replay must
+reproduce the reference's makespan, event count, statistics and every
+node's start and end exactly, compared with ``==``.  The replay runs first,
+so copies of template blocks are replayed before anything builds their
+dependencies.
 """
 
 from des_reference import reference_simulate
